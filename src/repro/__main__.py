@@ -34,7 +34,7 @@ workloads; with stall scenarios (``--faults stall:SEED``,
 budget — verified data or a typed error, never a hang.
 
 ``--ppn N`` arms the node topology at N ranks per node in the
-command's workloads (the ``procs_per_node``/``node_aggregation``
+command's workloads (the ``procs_per_node`` and ``exchange=two_layer``
 hints): the new implementation's exchanges run through the two-layer
 intra-node aggregation path, still held to byte-perfect results.
 
@@ -104,8 +104,7 @@ def selfcheck(
                 hints = hints.replace(
                     integrity_pages=True,
                     integrity_network=True,
-                    # The journal rides the new implementation only.
-                    journal_writes=(impl == "new"),
+                    journal_writes=True,
                 )
             if liveness:
                 # Suspect-driven failover rides the new implementation
@@ -116,9 +115,7 @@ def selfcheck(
             if ppn > 1:
                 # Two-layer exchange rides the new implementation only
                 # (the old one hardwires its nonblocking exchange).
-                hints = hints.replace(
-                    procs_per_node=ppn, node_aggregation=(impl == "new")
-                )
+                hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
             if replicate > 1:
                 # Replication is a file-system property, so it rides
                 # both implementations identically.  Extra retries let
@@ -276,7 +273,7 @@ def chaos(
     hints = None
     if ppn > 1:
         hints = Hints(
-            cb_nodes=2, cb_buffer_size=512, procs_per_node=ppn, node_aggregation=True
+            cb_nodes=2, cb_buffer_size=512, procs_per_node=ppn, exchange="two_layer"
         )
     harness = ChaosHarness(
         fault_spec or "chaos",
@@ -384,7 +381,7 @@ def trace(
     region, count = 64, 16
     hints = Hints(coll_impl="new", cb_nodes=2, cb_buffer_size=512)
     if ppn > 1:
-        hints = hints.replace(procs_per_node=ppn, node_aggregation=True)
+        hints = hints.replace(procs_per_node=ppn, exchange="two_layer")
     if integrity:
         hints = hints.replace(
             integrity_pages=True, integrity_network=True, journal_writes=True
@@ -500,7 +497,7 @@ def mt(
             if liveness:
                 hints.update(coll_deadline=0.5, liveness=True)
             if ppn > 1:
-                hints.update(procs_per_node=ppn, node_aggregation=True)
+                hints.update(procs_per_node=ppn, exchange="two_layer")
             cl.add_tenant(
                 f"t{i}",
                 mkbody(),

@@ -11,7 +11,9 @@ Public surface:
   (flattened-filetype exchange, per-aggregator cursors with tile
   skipping, pluggable flush method, alltoallw or nonblocking exchange);
 * :mod:`~repro.core.two_phase_old` — the ROMIO-style baseline
-  (flatten-everything offset/length exchange, integrated data sieving).
+  (flatten-everything offset/length exchange, integrated data sieving);
+* :mod:`~repro.core.rounds` — the one round executor both
+  implementations (and plan-cache replays) run their rounds through.
 """
 
 from repro.core.aggregation import select_aggregators

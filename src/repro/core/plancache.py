@@ -37,20 +37,20 @@ Correctness before speed (docs/plan_cache.md):
   schedule and leave the cache active.
 
 Counters (``coll.plan.hits`` / ``misses`` / ``invalidations`` /
-``bypass``) report per rank into the session metrics registry, and the
-engines wrap every replay and store in ``plan:replay`` / ``plan:store``
-trace spans carrying the entry's key digest.
+``bypass``) report per rank into the session metrics registry, and
+:func:`repro.core.rounds.run_collective` wraps every replay and store
+in ``plan:replay`` / ``plan:store`` trace spans carrying the entry's
+key digest.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Hashable, List, Optional, Tuple
 
 from repro.datatypes.flatten import FlatType
-from repro.datatypes.segments import SegmentBatch
 from repro.faults.plan import FAULTS_KEY
 from repro.liveness import find_crash_state
 from repro.mpi.topology import resolve_topology
@@ -58,8 +58,9 @@ from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (env -> plancache)
     from repro.core.env import CollEnv
+    from repro.core.rounds import Planner, RoundPlan
 
-__all__ = ["PlanCache", "PlanEntry", "RoundPlan", "PlanRecorder", "PLAN_MUTATING_KINDS"]
+__all__ = ["PlanCache", "PlanEntry", "PLAN_MUTATING_KINDS"]
 
 #: Fault kinds whose events change the plan mid-call (realm re-carving,
 #: suspect exclusion, fail-stop shrinkage).  Any of these being armed
@@ -68,58 +69,18 @@ PLAN_MUTATING_KINDS = frozenset({"agg_crash", "rank_stall", "rank_crash"})
 
 
 @dataclass
-class RoundPlan:
-    """One recorded round of the exchange schedule (this rank's view).
-
-    ``send`` are the client-side memory batches (per peer), ``recv``
-    the aggregator-side collective-buffer batches (per client); on the
-    read path the replay swaps the two, exactly like the cold drivers.
-    ``window`` is a :class:`~repro.core.realms.Window` for the new
-    implementation or a ``(lo, hi)`` span tuple for the old one;
-    ``merged`` is the ``(offsets, lengths)`` flush extent pair."""
-
-    send: List[Optional[SegmentBatch]]
-    window: object
-    recv: List[Optional[SegmentBatch]]
-    merged: Tuple
-
-
-@dataclass
 class PlanEntry:
     """A complete cached plan: everything a replay needs, nothing a
-    replay computes."""
+    replay computes (see :class:`~repro.core.rounds.Replay`)."""
 
     impl: str
     key_id: str
-    nrounds: int
+    rounds: List["RoundPlan"]
     aggs: List[int]
-    rounds: List[RoundPlan]
+    mode: str
     ft_extent: int = 0
     topology: object = None
-    realm_bytes: List[int] = field(default_factory=list)
-
-
-@dataclass
-class PlanRecorder:
-    """Accumulates one cold call's rounds for :meth:`PlanCache.commit`.
-
-    ``dirty`` marks a call whose executed schedule diverged from its
-    plan (failover, suspects, mid-call re-carving); dirty recordings
-    are discarded.  With the bypass rule in place a recorder should
-    never *become* dirty — the flag is the belt to the bypass's
-    braces."""
-
-    key: Tuple
-    key_id: str
-    impl: str
-    rounds: List[RoundPlan] = field(default_factory=list)
-    dirty: bool = False
-
-    def add_round(self, send, window, recv, merged) -> None:
-        self.rounds.append(RoundPlan(list(send), window, list(recv), merged))
-
-    def mark_dirty(self) -> None:
-        self.dirty = True
+    realm_bytes: Optional[List[int]] = None
 
 
 def _digest_flat(h, tag: str, flat: FlatType) -> None:
@@ -222,8 +183,8 @@ class PlanCache:
 
         Every rank of the communicator must call this (the drivers do,
         at the top of every collective op).  Returns the entry to
-        replay, or ``None`` — plan cold.  After a miss,
-        :meth:`recording` hands out the recorder for :meth:`commit`."""
+        replay, or ``None`` — plan cold.  After a miss, :meth:`commit`
+        stores the cold call's rounds under the agreed key."""
         self._pending = None
         self._pending_id = ""
         if self._bypassed(env):
@@ -247,36 +208,31 @@ class PlanCache:
         self._pending_id = key_id
         return None
 
-    def recording(self, impl: str) -> Optional[PlanRecorder]:
-        """Recorder for the cold call after a miss (None when bypassed)."""
-        if self._pending is None:
-            return None
-        return PlanRecorder(key=self._pending, key_id=self._pending_id, impl=impl)
+    @property
+    def pending_key_id(self) -> Optional[str]:
+        """Key digest of the missed lookup awaiting :meth:`commit`, or
+        None (no lookup yet, a hit, or bypassed)."""
+        return self._pending_id if self._pending is not None else None
 
     def commit(
-        self,
-        rec: PlanRecorder,
-        *,
-        nrounds: int,
-        aggs: List[int],
-        ft_extent: int = 0,
-        topology: object = None,
-        realm_bytes: Optional[List[int]] = None,
+        self, impl: str, rounds: List["RoundPlan"], planner: "Planner"
     ) -> Optional[PlanEntry]:
-        """Store a clean recording; dirty recordings are discarded."""
-        if rec.dirty:
+        """Store the rounds a cold call executed under the pending key."""
+        if self._pending is None:
             return None
         entry = PlanEntry(
-            impl=rec.impl,
-            key_id=rec.key_id,
-            nrounds=nrounds,
-            aggs=list(aggs),
-            rounds=rec.rounds,
-            ft_extent=ft_extent,
-            topology=topology,
-            realm_bytes=list(realm_bytes or []),
+            impl=impl,
+            key_id=self._pending_id,
+            rounds=rounds,
+            aggs=list(planner.aggs),
+            mode=planner.mode,
+            ft_extent=planner.ft_extent,
+            topology=planner.topology,
+            realm_bytes=(
+                list(planner.realm_bytes) if planner.realm_bytes is not None else None
+            ),
         )
-        self._entries[rec.key] = entry
+        self._entries[self._pending] = entry
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         self._size.set(len(self._entries))

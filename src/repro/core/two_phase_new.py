@@ -17,11 +17,15 @@ Write path, per collective call:
    aggregator's window (per-aggregator cursors, binary-heap progress
    tracking); aggregators intersect every client's filetype with their
    own window;
-5. data moves via alltoallw or nonblocking exchange into the collective
-   buffer, which is flushed through the independent I/O layer with a
-   per-flush method choice (conditional data sieving et al.).
+5. data moves via alltoallw, nonblocking or two_layer exchange into
+   the collective buffer, which is flushed through the independent I/O
+   layer with a per-flush method choice (conditional data sieving et
+   al.).
 
-The read path runs the phases in the opposite order.
+The read path runs the phases in the opposite order.  ``_Plan`` is this
+implementation's planner: steps 1–3 run once per call, and step 4
+routes each round when :func:`repro.core.rounds.execute` asks for it.
+The executor runs the rounds (step 5) through ``_LayeredIO``.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 
 from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
-from repro.core.exchange import exchange_data
 from repro.core.plan import (
     access_histogram,
     compute_aar,
@@ -42,6 +45,7 @@ from repro.core.plan import (
     merge_extents,
 )
 from repro.core.realms import FileRealm, RealmDomain, resolve_strategy
+from repro.core.rounds import Planner, RoundIO, run_collective
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.packing import gather_segments, scatter_segments
 from repro.datatypes.segments import FlatCursor, SegmentBatch
@@ -52,7 +56,6 @@ from repro.errors import (
     CollectiveIOError,
     RankCrashed,
 )
-from repro.core.pipeline import maybe_pipeline, task_env
 from repro.faults.plan import FAULTS_KEY
 from repro.io.selection import choose_method
 from repro.liveness import LIVENESS_KEY, install_crash_state
@@ -65,7 +68,7 @@ _TAG_META = (1 << 19) + 1  # library p2p range: below COLLECTIVE_TAG_BASE
 _EMPTY64 = np.empty(0, dtype=np.int64)
 
 
-class _Plan:
+class _Plan(Planner):
     """Per-call planning state shared by the read and write paths.
 
     ``total_bytes`` is the number of data bytes carried; ``data_lo`` is
@@ -89,7 +92,7 @@ class _Plan:
         # without communication), which phase boundaries have passed,
         # and which aggregators have already been failed over.
         self._injector = ctx.shared.get(FAULTS_KEY)
-        self._call_index = (
+        self.call_index = (
             self._injector.begin_collective(comm.rank)
             if self._injector is not None
             else 0
@@ -103,10 +106,6 @@ class _Plan:
         self._suspects: set[int] = set()
         self.i_am_suspect = False
         self._suspect_tails: Optional[List[RealmDomain]] = None
-        #: Virtual seconds this rank spent servicing its aggregator
-        #: role this call (routing + flushing); feeds the balanced
-        #: strategy's straggler-aware weights on the *next* call.
-        self.service_seconds = 0.0
         # Fail-stop crash machinery (docs/crash_recovery.md), armed only
         # when the plan carries ``rank_crash`` events so the fault-free
         # path is untouched.  ``group`` is the survivors' communicator
@@ -114,7 +113,6 @@ class _Plan:
         # histogram, bounds, extent) runs on it, so planning a new call
         # never blocks waiting on a corpse from an earlier one.
         self._crash = None
-        self._crash_pending: Optional[str] = None
         self._known_dead: set[int] = set()
         self.group: Optional[AliveGroup] = None
         if self._injector is not None and self._injector.enabled("rank_crash"):
@@ -135,6 +133,7 @@ class _Plan:
         # and the two_layer exchange's grouping.  None on flat clusters,
         # so the default path is untouched.
         self.topology = resolve_topology(hints, env.cost)
+        self.mode = hints["exchange"]
         self.aggs = select_aggregators(
             comm.size, hints["cb_nodes"], hints["cb_layout"], topology=self.topology
         )
@@ -152,7 +151,7 @@ class _Plan:
             # Aggregators that died in *earlier* collective calls never
             # regain the role: drop them before realm assignment so
             # survivors partition the AAR among themselves.
-            gone = self._injector.dead_aggregators(self._call_index, -1)
+            gone = self._injector.dead_aggregators(self.call_index, -1)
             if gone:
                 alive = [a for a in self.aggs if a not in gone]
                 if len(alive) != len(self.aggs):
@@ -170,7 +169,8 @@ class _Plan:
         # strategy decided, before request bounds shrink the iteration
         # space.  Tests use this to see balanced-strategy boundary
         # movement between calls.
-        env.stats.last_realm_bytes = [int(d.total_bytes) for d in self.domains]
+        self.realm_bytes = [int(d.total_bytes) for d in self.domains]
+        env.stats.last_realm_bytes = self.realm_bytes
         cb = hints["cb_buffer_size"]
         self.cb = cb
         # The conditional-sieving metric: the largest filetype extent in
@@ -350,7 +350,7 @@ class _Plan:
         self._charge_batch(merged, agg_side=agg_side)
         return merged
 
-    def client_send_plan(self, r: int) -> List[Optional[SegmentBatch]]:
+    def client_plan(self, r: int) -> List[Optional[SegmentBatch]]:
         """What my data contributes to each aggregator's round-r window,
         as memory-address batches."""
         env = self.env
@@ -382,7 +382,7 @@ class _Plan:
                 cur.reset()
         return plan
 
-    def agg_recv_layout(self, r: int):
+    def agg_layout(self, r: int):
         """(window, per-client buffer batches, merged write extents) for
         my aggregator role this round, or (None, ..., ...)."""
         env = self.env
@@ -410,6 +410,27 @@ class _Plan:
             ext_lens.append(batch.lengths)
         merged = merge_extents(ext_offs, ext_lens)
         return window, per_client, merged
+
+    # -- the round schedule ----------------------------------------------------
+    def rounds(self, buf: np.ndarray, *, write: bool):
+        """Round indices in execution order, each after its boundary
+        check: a rebalance restarts the count at zero; being declared
+        suspect ends the schedule with my independent tail I/O."""
+        r = 0
+        while r < self.nrounds:
+            if self.maybe_failover(r):
+                self.replanned = True
+                if self.i_am_suspect:
+                    self.run_suspect_tail(buf, write=write)
+                    return
+                r = 0
+                continue
+            yield r
+            r += 1
+
+    @property
+    def excluded(self) -> frozenset:
+        return frozenset(self._dead | self._suspects | self._known_dead)
 
     # -- aggregator failover ------------------------------------------------
     def maybe_failover(self, r: int) -> bool:
@@ -451,7 +472,7 @@ class _Plan:
         boundary = self._boundary
         self._boundary += 1
 
-        stalls = inj.stalled_ranks(self._call_index, boundary) if stall_on else {}
+        stalls = inj.stalled_ranks(self.call_index, boundary) if stall_on else {}
         if rank in stalls:
             delay = stalls[rank]
             with env.ctx.trace("fault:stall", round=r):
@@ -463,7 +484,7 @@ class _Plan:
                 liv.begin_call(rank, env.ctx.now)
 
         dead = (
-            inj.dead_aggregators(self._call_index, boundary)
+            inj.dead_aggregators(self.call_index, boundary)
             if crash_on
             else frozenset()
         )
@@ -481,7 +502,7 @@ class _Plan:
         # group, and re-carve the schedule without the corpses.
         crash_newly: List[int] = []
         if fail_stop_on:
-            crashed = inj.crashed_ranks(self._call_index, boundary)
+            crashed = inj.crashed_ranks(self.call_index, boundary)
             crash_newly = sorted(c for c in crashed if c not in self._known_dead)
         reporter = 0
         if fail_stop_on and self._known_dead:
@@ -491,9 +512,9 @@ class _Plan:
                 x for x in range(env.comm.size) if x not in self._known_dead
             )
         if crash_newly and rank in crash_newly:
-            event = inj.crash_event_for(rank, self._call_index)
+            event = inj.crash_event_for(rank, self.call_index)
             site = event.site if event is not None else "boundary"
-            if self._crash.mark_dead(rank, self._call_index, boundary):
+            if self._crash.mark_dead(rank, self.call_index, boundary):
                 inj.note_crash()
             self._known_dead.add(rank)
             self.skip = frozenset(self.skip | {rank})
@@ -501,14 +522,14 @@ class _Plan:
                 raise RankCrashed(rank, site)
             # Die deeper in the round: keep walking the round
             # structure fully skipped (``dying``) until the site.
-            self._crash_pending = site
+            self.crash_site = site
             return False
         if fail_stop_on and self._known_dead and rank == reporter:
             # Plan events whose every target is already dead fire into
             # the void; count them (satellite of docs/crash_recovery.md)
             # *before* folding this boundary's fresh deaths in.
             sup = inj.suppressed_for(
-                frozenset(self._known_dead), self._call_index, boundary
+                frozenset(self._known_dead), self.call_index, boundary
             )
             if sup:
                 inj.note_suppressed(sup)
@@ -517,7 +538,7 @@ class _Plan:
             with env.ctx.trace("crash:agree", epoch=boundary):
                 self.group = agree_dead_set(env.comm, proposal, boundary)
             for c in crash_newly:
-                if self._crash.mark_dead(c, self._call_index, boundary):
+                if self._crash.mark_dead(c, self.call_index, boundary):
                     inj.note_crash()
             self._known_dead.update(crash_newly)
             reporter = self.group.first_alive()
@@ -612,22 +633,9 @@ class _Plan:
             self.nrounds = max((d.nrounds(self.cb) for d in self.domains), default=0)
         return True
 
-    # -- fail-stop crash sites and epoch commits ------------------------------
-    @property
-    def dying(self) -> bool:
-        """True once this rank's fail-stop death is pending: it keeps
-        walking the round structure fully skipped (no exchange legs, no
-        flush) until its designated site raises."""
-        return self._crash_pending is not None
-
-    def crash_point(self, site: str) -> None:
-        """Raise the pending death when its site (``exchange`` |
-        ``flush``) is reached."""
-        if self._crash_pending == site:
-            raise RankCrashed(self.env.comm.rank, site)
-
-    def commit_epoch(self, r: int) -> None:
-        """Make round ``r`` durable and cut its epoch commit record.
+    # -- epoch commits ---------------------------------------------------------
+    def after_round(self, r: int, rp) -> None:
+        """Make write round ``r`` durable and cut its epoch commit record.
 
         Only runs with fail-stop crashes armed — the fault-free path
         pays nothing.  Durability first: each live aggregator flushes
@@ -646,9 +654,7 @@ class _Plan:
         journaled = env.hints["journal_writes"]
         excluded = self._known_dead | self._suspects
         if not journaled and self.my_agg_index >= 0 and rank not in excluded:
-            t0 = env.ctx.now
             env.adio.retry.run(env.ctx, env.adio.local.sync)
-            self.service_seconds += env.ctx.now - t0
         recorder = next((a for a in self.aggs if a not in excluded), None)
         if recorder != rank:
             return
@@ -662,7 +668,7 @@ class _Plan:
         local = env.adio.local
         local.fs.journal_record_epoch(
             local.path,
-            call_index=self._call_index,
+            call_index=self.call_index,
             epoch=self._boundary - 1,
             participants=[c for c in range(env.comm.size) if c not in excluded],
             intervals=intervals,
@@ -731,274 +737,36 @@ class _NullCursor:
         return SegmentBatch.empty_batch()
 
 
-def _exchange_mode(env: CollEnv) -> str:
-    """Effective exchange backend: ``node_aggregation`` forces
-    two_layer regardless of the ``exchange`` hint."""
-    if env.hints["node_aggregation"]:
-        return "two_layer"
-    return env.hints["exchange"]
+class _LayeredIO(RoundIO):
+    """The layered design (§5.1): the collective buffer is flushed to,
+    or filled from, the file through the independent I/O layer, with a
+    per-flush method choice (conditional data sieving et al.)."""
 
+    def prepare(self, env: CollEnv, rp) -> Optional[np.ndarray]:
+        if rp.window is None:
+            return None
+        return np.zeros(rp.window.total_bytes, dtype=np.uint8)
 
-def _journal_commit(env: CollEnv, plan: _Plan) -> None:
-    """Commit the collective call's shadow transaction.
+    def flush(self, env: CollEnv, rp, cbuf: np.ndarray) -> None:
+        offs, lens = rp.merged
+        if offs is None or offs.size == 0:
+            return
+        wbatch = SegmentBatch(offs, lens.copy(), rp.window.to_buffer(offs))
+        method = choose_method(env.hints, self.ft_extent, wbatch)
+        env.stats.note_flush(method)
+        env.adio.write_strided(wbatch, cbuf, method)
 
-    Barrier — one committer publishes — barrier: the first barrier
-    guarantees every aggregator's journal writes have landed, the
-    second that no rank returns from the collective before the commit
-    is visible.  The committer is the first *surviving* aggregator, so
-    a crash-with-failover still commits; a crash with failover off
-    raises :class:`~repro.errors.AggregatorLost` before reaching here
-    and the transaction is simply never committed — the file stays at
-    its pre-collective image (the crash-consistency contract)."""
-    comm = env.comm
-    local = env.adio.local
-    # Teardown barriers run over the survivors: a corpse would deadlock
-    # the full-membership barrier forever.
-    sync = plan.group if plan.group is not None else comm
-    excluded = plan._dead | plan._suspects | plan._known_dead
-    sync.barrier()
-    alive = [a for a in plan.aggs if a not in excluded]
-    committer = alive[0] if alive else plan.aggs[0]
-    if comm.rank == committer:
-        env.adio.retry.run(
-            env.ctx,
-            lambda: local.fs.txn_commit(env.ctx, local.client.client_id, local.path),
-        )
-    sync.barrier()
-
-
-def _flush_merged(env: CollEnv, ft_extent: int, window, merged, cbuf: np.ndarray) -> None:
-    offs, lens = merged
-    if offs is None or offs.size == 0:
-        return
-    bufpos = window.to_buffer(offs)
-    wbatch = SegmentBatch(offs, lens.copy(), bufpos)
-    method = choose_method(env.hints, ft_extent, wbatch)
-    env.stats.note_flush(method)
-    env.adio.write_strided(wbatch, cbuf, method)
-
-
-def _fill_merged(env: CollEnv, ft_extent: int, window, merged) -> Optional[np.ndarray]:
-    offs, lens = merged
-    cbuf = np.zeros(window.total_bytes, dtype=np.uint8)
-    if offs is None or offs.size == 0:
-        return cbuf
-    bufpos = window.to_buffer(offs)
-    rbatch = SegmentBatch(offs, lens.copy(), bufpos)
-    method = choose_method(env.hints, ft_extent, rbatch)
-    env.stats.note_flush(method)
-    data = env.adio.read_strided(rbatch, method)
-    cbuf[: data.size] = data
-    return cbuf
-
-
-def _flush_task(env: CollEnv, ft_extent: int, window, merged, cbuf, r: int, svc: list):
-    """Coroutine body flushing round ``r``'s collective buffer.
-
-    Runs on the task's own clock via a context-rebound env; ``svc``
-    accumulates the aggregator service seconds the serialized path
-    would have charged inline."""
-
-    def run(tctx) -> None:
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:flush", round=r):
-            t0 = tctx.now
-            _flush_merged(fenv, ft_extent, window, merged, cbuf)
-            svc.append(tctx.now - t0)
-
-    return run
-
-
-def _fill_task(env: CollEnv, ft_extent: int, window, merged, r: int, svc: list):
-    """Coroutine body pre-filling round ``r``'s collective buffer from
-    the file (the read-path prefetch); returns the buffer at join."""
-
-    def run(tctx):
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:fill", round=r):
-            t0 = tctx.now
-            cbuf = _fill_merged(fenv, ft_extent, window, merged)
-            svc.append(tctx.now - t0)
+    def fill(self, env: CollEnv, rp) -> np.ndarray:
+        offs, lens = rp.merged
+        cbuf = np.zeros(rp.window.total_bytes, dtype=np.uint8)
+        if offs is None or offs.size == 0:
             return cbuf
-
-    return run
-
-
-def _replay(env: CollEnv, entry, buf: np.ndarray, *, write: bool) -> None:
-    """Replay a cached plan: the data path of the cold drivers with the
-    planning phase elided entirely — no flattening, no AAR allreduce,
-    no metadata exchange, no window intersection (zero offset/length
-    pairs evaluated).  Per round: exchange along the recorded schedule,
-    then flush (write) or pre-fill (read) the recorded merged extents.
-
-    The replay only ever runs for a plan the cache agreed on
-    collectively, and never while a realm-mutating fault kind is armed
-    (PlanCache bypasses those), so the recorded schedule is exact."""
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    # Data-path fault kinds (delays, flips, OST outages) key their event
-    # windows on the collective-call ordinal; keep it advancing even
-    # though no planning happens.
-    inj = env.ctx.shared.get(FAULTS_KEY)
-    call_index = inj.begin_collective(comm.rank) if inj is not None else 0
-    liv = env.ctx.shared.get(LIVENESS_KEY)
-    rank = comm.rank
-    service = 0.0
-    env.stats.last_realm_bytes = list(entry.realm_bytes)
-    # Replays pipeline too: the recorded schedule is immutable, so the
-    # flush/fill of round r overlaps neighbouring exchanges exactly as
-    # on the cold path.
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-
-    def run_rounds() -> None:
-        nonlocal service
-        try:
-            if write:
-                for r, rp in enumerate(entry.rounds):
-                    env.stats.rounds += 1
-                    cbuf = (
-                        np.zeros(rp.window.total_bytes, dtype=np.uint8)
-                        if rp.window is not None
-                        else None
-                    )
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{r}]")
-                    with env.ctx.trace(
-                        "round:exchange" if pipe is not None else "tp:exchange",
-                        round=r,
-                    ):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, buf, rp.send, cbuf, rp.recv,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-                    if pipe is not None:
-                        if rp.window is not None and cbuf is not None:
-                            pipe.submit(
-                                _flush_task(
-                                    env, entry.ft_extent, rp.window, rp.merged,
-                                    cbuf, r, svc,
-                                ),
-                                round_no=r,
-                                stage="round:flush",
-                            )
-                    else:
-                        if liv is not None:
-                            liv.set_phase(rank, f"io[{r}]")
-                        with env.ctx.trace("tp:io", round=r):
-                            if rp.window is not None and cbuf is not None:
-                                t0 = env.ctx.now
-                                _flush_merged(
-                                    env, entry.ft_extent, rp.window, rp.merged, cbuf
-                                )
-                                service += env.ctx.now - t0
-                if pipe is not None:
-                    pipe.drain()
-            elif pipe is None:
-                for r, rp in enumerate(entry.rounds):
-                    env.stats.rounds += 1
-                    if liv is not None:
-                        liv.set_phase(rank, f"io[{r}]")
-                    with env.ctx.trace("tp:io", round=r):
-                        if rp.window is not None:
-                            t0 = env.ctx.now
-                            cbuf = _fill_merged(
-                                env, entry.ft_extent, rp.window, rp.merged
-                            )
-                            service += env.ctx.now - t0
-                        else:
-                            cbuf = None
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{r}]")
-                    with env.ctx.trace("tp:exchange", round=r):
-                        # Aggregator -> client, exactly like read_all_new:
-                        # recorded receive layouts become send batches.
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, rp.recv, buf, rp.send,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-            else:
-                # Pipelined replay read: prefetch fills ahead of the
-                # exchange, mirroring read_all_new's pipelined loop.
-                routed: List[tuple] = []
-                next_r = 0
-
-                def route_one(rr: int) -> None:
-                    rp = entry.rounds[rr]
-                    env.stats.rounds += 1
-                    handle = None
-                    if rp.window is not None:
-                        handle = pipe.submit(
-                            _fill_task(
-                                env, entry.ft_extent, rp.window, rp.merged, rr, svc
-                            ),
-                            round_no=rr,
-                            stage="round:fill",
-                        )
-                    routed.append((rr, rp, handle))
-
-                def prefetch() -> None:
-                    nonlocal next_r
-                    while next_r < len(entry.rounds) and (
-                        not routed
-                        or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-                    ):
-                        route_one(next_r)
-                        next_r += 1
-
-                prefetch()
-                while routed:
-                    rr, rp, handle = routed.pop(0)
-                    cbuf = pipe.join(handle) if handle is not None else None
-                    prefetch()
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{rr}]")
-                    with env.ctx.trace("round:exchange", round=rr):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, rp.recv, buf, rp.send,
-                            skip=frozenset(), topology=entry.topology,
-                        )
-                pipe.drain()
-        except BaseException:
-            if pipe is not None:
-                pipe.drain(suppress=True)
-            raise
-        finally:
-            service += sum(svc)
-            svc.clear()
-
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    try:
-        if write and env.hints["journal_writes"]:
-            local = env.adio.local
-            local.fs.txn_begin(local.path, call_index)
-            with env.adio.journaled():
-                run_rounds()
-            # Barrier — committer publishes — barrier, as in
-            # _journal_commit; with no realm-mutating faults armed the
-            # committer is simply the first recorded aggregator.
-            comm.barrier()
-            committer = entry.aggs[0] if entry.aggs else 0
-            if comm.rank == committer:
-                env.adio.retry.run(
-                    env.ctx,
-                    lambda: local.fs.txn_commit(
-                        env.ctx, local.client.client_id, local.path
-                    ),
-                )
-            comm.barrier()
-        else:
-            run_rounds()
-    finally:
-        if liv is not None:
-            liv.end_call(rank)
-    if write:
-        env.stats.collective_writes += 1
-    else:
-        env.stats.collective_reads += 1
-    env.stats.agg_service_seconds += service
-    env.stats.last_agg_service_seconds = service
+        rbatch = SegmentBatch(offs, lens.copy(), rp.window.to_buffer(offs))
+        method = choose_method(env.hints, self.ft_extent, rbatch)
+        env.stats.note_flush(method)
+        data = env.adio.read_strided(rbatch, method)
+        cbuf[: data.size] = data
+        return cbuf
 
 
 def write_all_new(
@@ -1011,131 +779,9 @@ def write_all_new(
     """Collective write of ``total_bytes`` from ``buf`` (laid out by
     ``memflat``) through the rank's file view, starting at data-stream
     position ``data_lo`` (the individual file pointer)."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "new")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="new"):
-                _replay(env, entry, buf, write=True)
-            return
-    rec = cache.recording("new") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _Plan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    liv = plan._liveness
-    rank = comm.rank
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    # Round pipelining (docs/async_io.md): when armed, flushes run as
-    # engine coroutines so the exchange of round r+1 overlaps the flush
-    # of round r.  The pipeline stands down (None) whenever a
-    # realm-mutating fault kind is armed, so the failover / suspect /
-    # epoch machinery below only ever runs on the serialized path.
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-
-    def run_rounds() -> None:
-        try:
-            r = 0
-            while r < plan.nrounds:
-                if plan.maybe_failover(r):
-                    if rec is not None:
-                        rec.mark_dirty()
-                    if plan.i_am_suspect:
-                        plan.run_suspect_tail(buf, write=True)
-                        return
-                    r = 0
-                    continue
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{r}]")
-                with env.ctx.trace("tp:route", round=r):
-                    send_plan = plan.client_send_plan(r)
-                    t0 = env.ctx.now
-                    window, recv_plan, merged = plan.agg_recv_layout(r)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                    cbuf = (
-                        np.zeros(window.total_bytes, dtype=np.uint8)
-                        if window is not None
-                        else None
-                    )
-                if rec is not None:
-                    rec.add_round(send_plan, window, recv_plan, merged)
-                if liv is not None:
-                    liv.set_phase(rank, f"exchange[{r}]")
-                with env.ctx.trace(
-                    "round:exchange" if pipe is not None else "tp:exchange", round=r
-                ):
-                    plan.crash_point("exchange")
-                    if not plan.dying:
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, buf, send_plan, cbuf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                if pipe is not None:
-                    if window is not None and cbuf is not None:
-                        pipe.submit(
-                            _flush_task(
-                                env, plan.ft_extent, window, merged, cbuf, r, svc
-                            ),
-                            round_no=r,
-                            stage="round:flush",
-                        )
-                else:
-                    if liv is not None:
-                        liv.set_phase(rank, f"io[{r}]")
-                    with env.ctx.trace("tp:io", round=r):
-                        plan.crash_point("flush")
-                        if window is not None and cbuf is not None:
-                            t0 = env.ctx.now
-                            _flush_merged(env, plan.ft_extent, window, merged, cbuf)
-                            plan.service_seconds += env.ctx.now - t0
-                plan.commit_epoch(r)
-                r += 1
-            if pipe is not None:
-                pipe.drain()
-        except BaseException:
-            if pipe is not None:
-                # Never leave a flush coroutine running past its call;
-                # its own error must not mask the primary exception.
-                pipe.drain(suppress=True)
-            raise
-        finally:
-            plan.service_seconds += sum(svc)
-            svc.clear()
-
-    try:
-        if env.hints["journal_writes"]:
-            # Crash-consistent path: aggregator flushes land in a shadow
-            # transaction keyed by the collective-call ordinal (identical
-            # on every rank without communication; a leftover transaction
-            # under a *different* ordinal is a crashed call's journal and
-            # is discarded by txn_begin).
-            local = env.adio.local
-            local.fs.txn_begin(local.path, plan._call_index)
-            with env.adio.journaled():
-                run_rounds()
-            _journal_commit(env, plan)
-        else:
-            run_rounds()
-    finally:
-        if liv is not None:
-            liv.end_call(rank)
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="new"):
-            cache.commit(
-                rec,
-                nrounds=plan.nrounds,
-                aggs=plan.aggs,
-                ft_extent=plan.ft_extent,
-                topology=plan.topology,
-                realm_bytes=env.stats.last_realm_bytes,
-            )
-    env.stats.collective_writes += 1
-    env.stats.agg_service_seconds += plan.service_seconds
-    env.stats.last_agg_service_seconds = plan.service_seconds
+    run_collective(
+        env, "new", _Plan, _LayeredIO, buf, memflat, total_bytes, data_lo, write=True
+    )
 
 
 def read_all_new(
@@ -1147,145 +793,6 @@ def read_all_new(
 ) -> None:
     """Collective read into ``buf`` through the rank's file view,
     starting at data-stream position ``data_lo``."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "new")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="new"):
-                _replay(env, entry, buf, write=False)
-            return
-    rec = cache.recording("new") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _Plan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    mode = _exchange_mode(env)
-    liv = plan._liveness
-    rank = comm.rank
-    if liv is not None:
-        liv.begin_call(rank, env.ctx.now)
-    pipe = maybe_pipeline(env)
-    svc: List[float] = []
-    try:
-        if pipe is None:
-            r = 0
-            while r < plan.nrounds:
-                if plan.maybe_failover(r):
-                    if rec is not None:
-                        rec.mark_dirty()
-                    if plan.i_am_suspect:
-                        plan.run_suspect_tail(buf, write=False)
-                        break
-                    r = 0
-                    continue
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{r}]")
-                with env.ctx.trace("tp:route", round=r):
-                    # On reads, data flows aggregator -> client: the aggregator's
-                    # per-client layouts become SEND batches, the client's
-                    # memory batches become RECV batches.
-                    recv_plan = plan.client_send_plan(r)
-                    t0 = env.ctx.now
-                    window, send_plan, merged = plan.agg_recv_layout(r)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                if rec is not None:
-                    # Recorded direction-independently: client memory batches
-                    # as ``send``, aggregator layouts as ``recv`` (the write
-                    # orientation); a replay re-swaps for reads.
-                    rec.add_round(recv_plan, window, send_plan, merged)
-                if liv is not None:
-                    liv.set_phase(rank, f"io[{r}]")
-                with env.ctx.trace("tp:io", round=r):
-                    plan.crash_point("flush")
-                    if window is not None and not plan.dying:
-                        t0 = env.ctx.now
-                        cbuf = _fill_merged(env, plan.ft_extent, window, merged)
-                        plan.service_seconds += env.ctx.now - t0
-                    else:
-                        cbuf = None
-                if liv is not None:
-                    liv.set_phase(rank, f"exchange[{r}]")
-                with env.ctx.trace("tp:exchange", round=r):
-                    plan.crash_point("exchange")
-                    if not plan.dying:
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, send_plan, buf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                r += 1
-        else:
-            # Pipelined read: route rounds ahead and launch their fills
-            # as coroutines, so the fill of round r+1 prefetches from the
-            # file while round r's exchange distributes data.  The
-            # pipeline never coexists with the failover machinery
-            # (maybe_pipeline stands down when those kinds are armed).
-            routed: List[tuple] = []
-            next_r = 0
-
-            def route_one(rr: int) -> None:
-                env.stats.rounds += 1
-                if liv is not None:
-                    liv.set_phase(rank, f"route[{rr}]")
-                with env.ctx.trace("tp:route", round=rr):
-                    recv_plan = plan.client_send_plan(rr)
-                    t0 = env.ctx.now
-                    window, send_plan, merged = plan.agg_recv_layout(rr)
-                    if window is not None:
-                        plan.service_seconds += env.ctx.now - t0
-                if rec is not None:
-                    rec.add_round(recv_plan, window, send_plan, merged)
-                handle = None
-                if window is not None:
-                    handle = pipe.submit(
-                        _fill_task(env, plan.ft_extent, window, merged, rr, svc),
-                        round_no=rr,
-                        stage="round:fill",
-                    )
-                routed.append((rr, send_plan, recv_plan, handle))
-
-            def prefetch() -> None:
-                nonlocal next_r
-                while next_r < plan.nrounds and (
-                    not routed
-                    or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-                ):
-                    route_one(next_r)
-                    next_r += 1
-
-            try:
-                prefetch()
-                while routed:
-                    rr, send_plan, recv_plan, handle = routed.pop(0)
-                    cbuf = pipe.join(handle) if handle is not None else None
-                    # A slot just freed: launch the next fill before the
-                    # exchange blocks on remote ranks.
-                    prefetch()
-                    if liv is not None:
-                        liv.set_phase(rank, f"exchange[{rr}]")
-                    with env.ctx.trace("round:exchange", round=rr):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, mode, cbuf, send_plan, buf, recv_plan,
-                            skip=plan.skip, topology=plan.topology,
-                        )
-                pipe.drain()
-            except BaseException:
-                pipe.drain(suppress=True)
-                raise
-    finally:
-        plan.service_seconds += sum(svc)
-        if liv is not None:
-            liv.end_call(rank)
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="new"):
-            cache.commit(
-                rec,
-                nrounds=plan.nrounds,
-                aggs=plan.aggs,
-                ft_extent=plan.ft_extent,
-                topology=plan.topology,
-                realm_bytes=env.stats.last_realm_bytes,
-            )
-    env.stats.collective_reads += 1
-    env.stats.agg_service_seconds += plan.service_seconds
-    env.stats.last_agg_service_seconds = plan.service_seconds
+    run_collective(
+        env, "new", _Plan, _LayeredIO, buf, memflat, total_bytes, data_lo, write=False
+    )

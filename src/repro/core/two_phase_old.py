@@ -14,6 +14,10 @@ Structural differences from the new code, per the paper:
   receives client data straight into that buffer, and writes the span
   back — one less buffer copy than the layered design, but only one
   I/O method, fused into the collective path.
+
+``_OldPlan`` is this implementation's planner and ``_SieveIO`` its
+integrated sieve, as the I/O callbacks of the shared round executor
+(:func:`repro.core.rounds.execute`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 
 from repro.core.aggregation import select_aggregators
 from repro.core.env import CollEnv
-from repro.core.exchange import exchange_data
 from repro.core.plan import (
     clip_to_range,
     compute_aar,
@@ -32,8 +35,8 @@ from repro.core.plan import (
     merge_extents,
     subtract_intervals,
 )
-from repro.core.pipeline import maybe_pipeline, task_env
 from repro.core.realms import EvenPartition
+from repro.core.rounds import Planner, RoundIO, run_collective
 from repro.datatypes.flatten import FlatType
 from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveAborted, RankCrashed
@@ -46,68 +49,58 @@ __all__ = ["write_all_old", "read_all_old"]
 _TAG_REQS = (1 << 19) + 2  # library p2p range: below COLLECTIVE_TAG_BASE
 
 
-class _OldPlan:
+class _OldPlan(Planner):
     def __init__(
         self,
         env: CollEnv,
         memflat: FlatType,
         total_bytes: int,
         data_lo: int = 0,
-        *,
-        covered: Optional[List[tuple]] = None,
-        resume_state: Optional[tuple] = None,
     ) -> None:
         self.env = env
         self.memflat = memflat
         self.total_bytes = total_bytes
         self.data_lo = data_lo
-        ctx, comm, cost, hints = env.ctx, env.comm, env.cost, env.hints
-        view = env.view
+        ctx, comm, hints = env.ctx, env.comm, env.hints
 
         # Fail-stop crash state (docs/crash_recovery.md), armed only
-        # when the plan carries ``rank_crash`` events.  On a mid-call
-        # re-plan (``resume_state``) the bookkeeping — call ordinal,
-        # boundary counter, agreed dead set, survivor group — carries
-        # over instead of being re-armed.
-        if resume_state is None:
-            self._injector = ctx.shared.get(FAULTS_KEY)
-            self._call_index = (
-                self._injector.begin_collective(comm.rank)
-                if self._injector is not None
-                else 0
-            )
-            self._boundary = 0
-            self._crash = None
-            self._known_dead: set[int] = set()
-            self.group: Optional[AliveGroup] = None
-            if self._injector is not None and self._injector.enabled("rank_crash"):
-                self._crash = install_crash_state(ctx.shared)
-                self._known_dead = set(self._crash.dead)
-                self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
-                quorum = hints["crash_quorum"]
-                if self.group.size < quorum:
-                    raise CollectiveAborted(
-                        -1, self.group.size, quorum, tuple(sorted(self._known_dead))
-                    )
-        else:
-            (
-                self._injector,
-                self._call_index,
-                self._boundary,
-                self._crash,
-                self._known_dead,
-                self.group,
-            ) = resume_state
-        self._crash_pending: Optional[str] = None
-        self._covered: List[tuple] = list(covered) if covered else []
-        self.skip: frozenset = frozenset(self._known_dead)
+        # when the plan carries ``rank_crash`` events.  A mid-call
+        # re-plan keeps this bookkeeping — call ordinal, boundary
+        # counter, agreed dead set, survivor group — and re-runs only
+        # :meth:`_plan`.
+        self._injector = ctx.shared.get(FAULTS_KEY)
+        self.call_index = (
+            self._injector.begin_collective(comm.rank)
+            if self._injector is not None
+            else 0
+        )
+        self._boundary = 0
+        self._crash = None
+        self._known_dead: set[int] = set()
+        if self._injector is not None and self._injector.enabled("rank_crash"):
+            self._crash = install_crash_state(ctx.shared)
+            self._known_dead = set(self._crash.dead)
+            self.group = AliveGroup(comm, frozenset(self._known_dead), -1)
+            quorum = hints["crash_quorum"]
+            if self.group.size < quorum:
+                raise CollectiveAborted(
+                    -1, self.group.size, quorum, tuple(sorted(self._known_dead))
+                )
+        self._covered: List[tuple] = []
+        self._plan()
+
+    def _plan(self) -> None:
+        env = self.env
+        ctx, comm, cost, hints = env.ctx, env.comm, env.cost, env.hints
+        total_bytes, data_lo = self.total_bytes, self.data_lo
+        self.skip = frozenset(self._known_dead)
         coll = self.group if self.group is not None else comm
 
         # Flatten the whole access: M pairs, charged per pair.  A
         # re-plan subtracts the already-written file intervals, so
         # survivors only re-partition the remainder.
         if total_bytes > 0:
-            cursor = view.cursor(data_lo + total_bytes, data_lo)
+            cursor = env.view.cursor(data_lo + total_bytes, data_lo)
             self.my_access = cursor.all_segments()
             ctx.charge(self.my_access.pairs_evaluated * cost.cpu_per_flat_pair)
             env.stats.client_pairs += self.my_access.pairs_evaluated
@@ -218,308 +211,197 @@ class _OldPlan:
         w_hi = min(w_lo + self.cb, hi)
         return w_lo, max(w_hi, w_lo)
 
-    # -- fail-stop crash sites ------------------------------------------------
+    # -- the round schedule ----------------------------------------------------
+    def rounds(self, buf: np.ndarray, *, write: bool):
+        """Round indices in execution order, each after its boundary
+        check; a re-plan restarts the count at zero."""
+        r = 0
+        while r < self.nrounds:
+            if self._check_boundary(r):
+                self.replanned = True
+                r = 0
+                continue
+            yield r
+            r += 1
+
     @property
-    def dying(self) -> bool:
-        """True once this rank's fail-stop death is pending: it walks
-        the round fully skipped until its designated site raises."""
-        return self._crash_pending is not None
+    def excluded(self) -> frozenset:
+        return frozenset(self._known_dead)
 
-    def crash_point(self, site: str) -> None:
-        """Raise the pending death at its site (``exchange``|``flush``)."""
-        if self._crash_pending == site:
-            raise RankCrashed(self.env.comm.rank, site)
-
-
-def _check_boundary(plan: _OldPlan, r: int) -> Optional[_OldPlan]:
-    """Fail-stop boundary check before round ``r`` of the old path.
-
-    Detection mirrors the new implementation: a pure evaluation of the
-    fault plan at ``(call, boundary)``, identical on every rank.  The
-    *victim* records its death and dies at its site; *survivors* run
-    one epoch agreement and then **re-plan**: the first ``r`` rounds of
-    every realm are already written back (the old path writes its span
-    each round), so survivors subtract that covered region from their
-    access and re-partition the remainder among the surviving
-    aggregators — the dead rank's requests drop out with it.
-
-    Returns the replacement plan (the caller restarts its round counter
-    at zero) or ``None`` to continue the current one."""
-    inj = plan._injector
-    if plan._crash is None:
-        return None
-    env = plan.env
-    rank = env.comm.rank
-    boundary = plan._boundary
-    plan._boundary += 1
-    crashed = inj.crashed_ranks(plan._call_index, boundary)
-    newly = sorted(c for c in crashed if c not in plan._known_dead)
-    if newly and rank in newly:
-        event = inj.crash_event_for(rank, plan._call_index)
-        site = event.site if event is not None else "boundary"
-        if plan._crash.mark_dead(rank, plan._call_index, boundary):
-            inj.note_crash()
-        plan._known_dead.add(rank)
-        plan.skip = frozenset(plan.skip | {rank})
-        if site == "boundary":
-            raise RankCrashed(rank, site)
-        plan._crash_pending = site
-        return None
-    if plan._known_dead and rank == min(
-        x for x in range(env.comm.size) if x not in plan._known_dead
-    ):
-        # Count plan events aimed entirely at corpses *before* folding
-        # this boundary's fresh deaths in (docs/crash_recovery.md).
-        sup = inj.suppressed_for(
-            frozenset(plan._known_dead), plan._call_index, boundary
-        )
-        if sup:
-            inj.note_suppressed(sup)
-    if not newly:
-        return None
-    proposal = frozenset(plan._known_dead | set(newly))
-    with env.ctx.trace("crash:agree", epoch=boundary):
-        group = agree_dead_set(env.comm, proposal, boundary)
-    for c in newly:
-        if plan._crash.mark_dead(c, plan._call_index, boundary):
-            inj.note_crash()
-    plan._known_dead.update(newly)
-    reporter = group.first_alive()
-    if rank == reporter:
-        inj.note_agreement()
-    quorum = env.hints["crash_quorum"]
-    if group.size < quorum:
-        if rank == reporter:
-            inj.note_aborted()
-        raise CollectiveAborted(
-            boundary, group.size, quorum, tuple(sorted(plan._known_dead))
-        )
-    covered: List[tuple] = list(plan._covered)
-    for ai, a in enumerate(plan.aggs):
-        lo, hi = plan.win_bounds[ai]
-        done_hi = min(lo + r * plan.cb, hi)
-        if done_hi > lo:
-            covered.append((lo, done_hi))
-        if a in newly and rank == reporter:
-            inj.note_failover(a, max(hi - done_hi, 0))
-    state = (
-        inj,
-        plan._call_index,
-        plan._boundary,
-        plan._crash,
-        plan._known_dead,
-        group,
-    )
-    with env.ctx.trace("tp:failover", round=r):
-        return _OldPlan(
-            env,
-            plan.memflat,
-            plan.total_bytes,
-            plan.data_lo,
-            covered=covered,
-            resume_state=state,
-        )
-
-
-def _client_plan(plan: _OldPlan, r: int) -> List[Optional[SegmentBatch]]:
-    """Memory batches this client contributes to each aggregator."""
-    env = plan.env
-    out: List[Optional[SegmentBatch]] = [None] * env.comm.size
-    if plan.total_bytes == 0:
-        return out
-    for ai, a in enumerate(plan.aggs):
-        w_lo, w_hi = plan.my_window(ai, r)
-        if w_hi <= w_lo:
-            continue
-        part = clip_to_range(plan.my_parts[ai], w_lo, w_hi)
-        if part.empty:
-            continue
-        out[a] = mem_batch_for(
-            plan.memflat, part.data_offsets - plan.data_lo, part.lengths
-        )
-    return out
-
-
-def _agg_layout(plan: _OldPlan, r: int):
-    """(window span, per-client buffer batches, merged extents)."""
-    env = plan.env
-    comm = env.comm
-    if plan.my_agg_index < 0:
-        return None, [None] * comm.size, (None, None)
-    w_lo, w_hi = plan.my_window(plan.my_agg_index, r)
-    if w_hi <= w_lo:
-        return None, [None] * comm.size, (None, None)
-    per_client: List[Optional[SegmentBatch]] = [None] * comm.size
-    ext_offs, ext_lens = [], []
-    for c in range(comm.size):
-        reqs = plan.client_reqs[c]
-        if reqs is None:
-            continue
-        part = clip_to_range(reqs, w_lo, w_hi)
-        if part.empty:
-            continue
-        bufpos = part.file_offsets - w_lo
-        per_client[c] = SegmentBatch(bufpos, part.lengths, part.file_offsets)
-        ext_offs.append(part.file_offsets)
-        ext_lens.append(part.lengths)
-    merged = merge_extents(ext_offs, ext_lens)
-    return (w_lo, w_hi), per_client, merged
-
-
-def _old_flush_task(env: CollEnv, span_lo: int, data: np.ndarray, r: int):
-    """Coroutine body writing back round ``r``'s sieve-buffer span
-    (the integrated data sieve's RMW write leg)."""
-
-    def run(tctx) -> None:
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:flush", round=r):
-            fenv.stats.note_flush("datasieve-integrated")
-            fenv.adio.write_contig(span_lo, data)
-
-    return run
-
-
-def _old_fill_task(env: CollEnv, span, m_offs, m_lens, r: int):
-    """Coroutine body pre-reading round ``r``'s window span into a
-    fresh sieve buffer (the read path's prefetch); returns it at join."""
-
-    def run(tctx):
-        fenv = task_env(env, tctx)
-        with tctx.trace("round:fill", round=r):
-            span_lo = int(m_offs[0])
-            span_hi = int((m_offs + m_lens).max())
-            cbuf = np.zeros(span[1] - span[0], dtype=np.uint8)
-            fenv.stats.note_flush("datasieve-integrated")
-            cbuf[span_lo - span[0] : span_hi - span[0]] = fenv.adio.read_contig(
-                span_lo, span_hi - span_lo
+    def client_plan(self, r: int) -> List[Optional[SegmentBatch]]:
+        """Memory batches this client contributes to each aggregator."""
+        out: List[Optional[SegmentBatch]] = [None] * self.env.comm.size
+        if self.total_bytes == 0:
+            return out
+        for ai, a in enumerate(self.aggs):
+            w_lo, w_hi = self.my_window(ai, r)
+            if w_hi <= w_lo:
+                continue
+            part = clip_to_range(self.my_parts[ai], w_lo, w_hi)
+            if part.empty:
+                continue
+            out[a] = mem_batch_for(
+                self.memflat, part.data_offsets - self.data_lo, part.lengths
             )
-            return cbuf
+        return out
 
-    return run
+    def agg_layout(self, r: int):
+        """(window span, per-client buffer batches, merged extents)."""
+        comm = self.env.comm
+        if self.my_agg_index < 0:
+            return None, [None] * comm.size, (None, None)
+        w_lo, w_hi = self.my_window(self.my_agg_index, r)
+        if w_hi <= w_lo:
+            return None, [None] * comm.size, (None, None)
+        per_client: List[Optional[SegmentBatch]] = [None] * comm.size
+        ext_offs, ext_lens = [], []
+        for c in range(comm.size):
+            reqs = self.client_reqs[c]
+            if reqs is None:
+                continue
+            part = clip_to_range(reqs, w_lo, w_hi)
+            if part.empty:
+                continue
+            bufpos = part.file_offsets - w_lo
+            per_client[c] = SegmentBatch(bufpos, part.lengths, part.file_offsets)
+            ext_offs.append(part.file_offsets)
+            ext_lens.append(part.lengths)
+        merged = merge_extents(ext_offs, ext_lens)
+        return (w_lo, w_hi), per_client, merged
+
+    def after_round(self, r: int, rp) -> None:
+        """Crash-armed runs make each written round durable: a later
+        death must not take already-written rounds down with the
+        corpse's cache (the re-plan treats them as covered)."""
+        if self._crash is not None and _has_data(rp):
+            self.env.adio.retry.run(self.env.ctx, self.env.adio.local.sync)
+
+    # -- fail-stop boundary check ----------------------------------------------
+    def _check_boundary(self, r: int) -> bool:
+        """Fail-stop boundary check before round ``r``.
+
+        Detection mirrors the new implementation: a pure evaluation of
+        the fault plan at ``(call, boundary)``, identical on every rank.
+        The *victim* records its death and dies at its site; *survivors*
+        run one epoch agreement and then **re-plan**: the first ``r``
+        rounds of every realm are already written back (the old path
+        writes its span each round), so survivors subtract that covered
+        region from their access and re-partition the remainder among
+        the surviving aggregators — the dead rank's requests drop out
+        with it.
+
+        Returns True after a re-plan (the round count restarts at zero)."""
+        inj = self._injector
+        if self._crash is None:
+            return False
+        env = self.env
+        rank = env.comm.rank
+        boundary = self._boundary
+        self._boundary += 1
+        crashed = inj.crashed_ranks(self.call_index, boundary)
+        newly = sorted(c for c in crashed if c not in self._known_dead)
+        if newly and rank in newly:
+            event = inj.crash_event_for(rank, self.call_index)
+            site = event.site if event is not None else "boundary"
+            if self._crash.mark_dead(rank, self.call_index, boundary):
+                inj.note_crash()
+            self._known_dead.add(rank)
+            self.skip = frozenset(self.skip | {rank})
+            if site == "boundary":
+                raise RankCrashed(rank, site)
+            self.crash_site = site
+            return False
+        if self._known_dead and rank == min(
+            x for x in range(env.comm.size) if x not in self._known_dead
+        ):
+            # Count plan events aimed entirely at corpses *before* folding
+            # this boundary's fresh deaths in (docs/crash_recovery.md).
+            sup = inj.suppressed_for(
+                frozenset(self._known_dead), self.call_index, boundary
+            )
+            if sup:
+                inj.note_suppressed(sup)
+        if not newly:
+            return False
+        proposal = frozenset(self._known_dead | set(newly))
+        with env.ctx.trace("crash:agree", epoch=boundary):
+            group = agree_dead_set(env.comm, proposal, boundary)
+        for c in newly:
+            if self._crash.mark_dead(c, self.call_index, boundary):
+                inj.note_crash()
+        self._known_dead.update(newly)
+        reporter = group.first_alive()
+        if rank == reporter:
+            inj.note_agreement()
+        quorum = env.hints["crash_quorum"]
+        if group.size < quorum:
+            if rank == reporter:
+                inj.note_aborted()
+            raise CollectiveAborted(
+                boundary, group.size, quorum, tuple(sorted(self._known_dead))
+            )
+        covered: List[tuple] = list(self._covered)
+        for ai, a in enumerate(self.aggs):
+            lo, hi = self.win_bounds[ai]
+            done_hi = min(lo + r * self.cb, hi)
+            if done_hi > lo:
+                covered.append((lo, done_hi))
+            if a in newly and rank == reporter:
+                inj.note_failover(a, max(hi - done_hi, 0))
+        self.group = group
+        self._covered = covered
+        with env.ctx.trace("tp:failover", round=r):
+            self._plan()
+        return True
 
 
-def _replay_old(env: CollEnv, entry, buf: np.ndarray, *, write: bool) -> None:
-    """Replay a cached old-implementation plan: the integrated-sieving
-    data path with all flattening, wire alltoall, and window clipping
-    elided (zero offset/length pairs evaluated).  Only runs for a
-    collectively-agreed cache hit with no realm-mutating fault armed."""
-    comm, cost = env.comm, env.cost
-    # Keep data-path fault ordinals advancing across replayed calls.
-    inj = env.ctx.shared.get(FAULTS_KEY)
-    if inj is not None:
-        inj.begin_collective(comm.rank)
-    pipe = maybe_pipeline(env)
-    try:
-        if write or pipe is None:
-            for r, rp in enumerate(entry.rounds):
-                env.stats.rounds += 1
-                span = rp.window
-                m_offs, m_lens = rp.merged
-                if write:
-                    cbuf = None
-                    span_lo = span_hi = 0
-                    with env.ctx.trace("tp:io", round=r):
-                        if span is not None and m_offs is not None and m_offs.size:
-                            span_lo = int(m_offs[0])
-                            span_hi = int((m_offs + m_lens).max())
-                            covered = int(m_lens.sum())
-                            cbuf = np.zeros(span[1] - span[0], dtype=np.uint8)
-                            if covered < span_hi - span_lo:
-                                pre = env.adio.read_contig(span_lo, span_hi - span_lo)
-                                cbuf[span_lo - span[0] : span_hi - span[0]] = pre
-                    with env.ctx.trace(
-                        "round:exchange" if pipe is not None else "tp:exchange",
-                        round=r,
-                    ):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, "nonblocking", buf, rp.send, cbuf, rp.recv,
-                            skip=frozenset(),
-                        )
-                    if pipe is not None:
-                        if cbuf is not None:
-                            pipe.submit(
-                                _old_flush_task(
-                                    env,
-                                    span_lo,
-                                    cbuf[span_lo - span[0] : span_hi - span[0]],
-                                    r,
-                                ),
-                                round_no=r,
-                                stage="round:flush",
-                            )
-                    else:
-                        with env.ctx.trace("tp:io", round=r):
-                            if cbuf is not None:
-                                env.stats.note_flush("datasieve-integrated")
-                                env.adio.write_contig(
-                                    span_lo,
-                                    cbuf[span_lo - span[0] : span_hi - span[0]],
-                                )
-                else:
-                    cbuf = None
-                    with env.ctx.trace("tp:io", round=r):
-                        if span is not None and m_offs is not None and m_offs.size:
-                            span_lo = int(m_offs[0])
-                            span_hi = int((m_offs + m_lens).max())
-                            cbuf = np.zeros(span[1] - span[0], dtype=np.uint8)
-                            env.stats.note_flush("datasieve-integrated")
-                            cbuf[span_lo - span[0] : span_hi - span[0]] = (
-                                env.adio.read_contig(span_lo, span_hi - span_lo)
-                            )
-                    with env.ctx.trace("tp:exchange", round=r):
-                        env.stats.bytes_exchanged += exchange_data(
-                            comm, cost, "nonblocking", cbuf, rp.recv, buf, rp.send,
-                            skip=frozenset(),
-                        )
-            if pipe is not None:
-                pipe.drain()
-        else:
-            # Pipelined replay read: prefetch span reads ahead of the
-            # exchange, mirroring read_all_old's pipelined loop.
-            routed: List[tuple] = []
-            next_r = 0
+def _has_data(rp) -> bool:
+    """Whether my aggregator window holds client data this round."""
+    return rp.window is not None and rp.merged[0].size > 0
 
-            def route_one(rr: int) -> None:
-                rp = entry.rounds[rr]
-                env.stats.rounds += 1
-                m_offs, m_lens = rp.merged
-                handle = None
-                if rp.window is not None and m_offs is not None and m_offs.size:
-                    handle = pipe.submit(
-                        _old_fill_task(env, rp.window, m_offs, m_lens, rr),
-                        round_no=rr,
-                        stage="round:fill",
-                    )
-                routed.append((rr, rp, handle))
 
-            def prefetch() -> None:
-                nonlocal next_r
-                while next_r < len(entry.rounds) and (
-                    not routed
-                    or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-                ):
-                    route_one(next_r)
-                    next_r += 1
+def _data_span(rp) -> tuple[int, int]:
+    """[first, last) file byte of the round's merged extents."""
+    offs, lens = rp.merged
+    return int(offs[0]), int((offs + lens).max())
 
-            prefetch()
-            while routed:
-                rr, rp, handle = routed.pop(0)
-                cbuf = pipe.join(handle) if handle is not None else None
-                prefetch()
-                with env.ctx.trace("round:exchange", round=rr):
-                    env.stats.bytes_exchanged += exchange_data(
-                        comm, cost, "nonblocking", cbuf, rp.recv, buf, rp.send,
-                        skip=frozenset(),
-                    )
-            pipe.drain()
-    except BaseException:
-        if pipe is not None:
-            pipe.drain(suppress=True)
-        raise
-    if write:
-        env.stats.collective_writes += 1
-    else:
-        env.stats.collective_reads += 1
+
+class _SieveIO(RoundIO):
+    """Integrated data sieving: the collective buffer is the sieve
+    buffer, covering the window span.  The aggregator pre-reads the
+    data span when holes exist, receives client data straight into the
+    buffer, and writes the span back; a read fills the span once."""
+
+    pre_read = True
+
+    def active(self, rp) -> bool:
+        return _has_data(rp)
+
+    def prepare(self, env: CollEnv, rp) -> Optional[np.ndarray]:
+        if not _has_data(rp):
+            return None
+        lo, hi = _data_span(rp)
+        w_lo, w_hi = rp.window
+        cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
+        if int(rp.merged[1].sum()) < hi - lo:
+            # Holes: pre-read so the span write-back preserves the gap
+            # bytes (integrated data sieving's RMW).
+            cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
+        return cbuf
+
+    def flush(self, env: CollEnv, rp, cbuf: np.ndarray) -> None:
+        lo, hi = _data_span(rp)
+        w_lo = rp.window[0]
+        env.stats.note_flush("datasieve-integrated")
+        env.adio.write_contig(lo, cbuf[lo - w_lo : hi - w_lo])
+
+    def fill(self, env: CollEnv, rp) -> np.ndarray:
+        lo, hi = _data_span(rp)
+        w_lo, w_hi = rp.window
+        cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
+        env.stats.note_flush("datasieve-integrated")
+        cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
+        return cbuf
 
 
 def write_all_old(
@@ -530,97 +412,9 @@ def write_all_old(
     data_lo: int = 0,
 ) -> None:
     """Collective write, original implementation."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "old")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="old"):
-                _replay_old(env, entry, buf, write=True)
-            return
-    rec = cache.recording("old") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _OldPlan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    # Round pipelining (docs/async_io.md): the span write-back of round
-    # r runs as a coroutine while round r+1 routes, pre-reads, and
-    # exchanges.  Stands down (None) while realm-mutating faults are
-    # armed, so the crash machinery only runs on the serialized path.
-    pipe = maybe_pipeline(env)
-    try:
-        r = 0
-        while r < plan.nrounds:
-            replacement = _check_boundary(plan, r)
-            if replacement is not None:
-                if rec is not None:
-                    rec.mark_dirty()
-                plan = replacement
-                r = 0
-                continue
-            env.stats.rounds += 1
-            with env.ctx.trace("tp:route", round=r):
-                send_plan = _client_plan(plan, r)
-                span, recv_plan, (m_offs, m_lens) = _agg_layout(plan, r)
-            if rec is not None:
-                rec.add_round(send_plan, span, recv_plan, (m_offs, m_lens))
-            cbuf = None
-            span_lo = span_hi = 0
-            with env.ctx.trace("tp:io", round=r):
-                if span is not None and m_offs is not None and m_offs.size:
-                    span_lo = int(m_offs[0])
-                    span_hi = int((m_offs + m_lens).max())
-                    covered = int(m_lens.sum())
-                    cbuf = np.zeros(span[1] - span[0], dtype=np.uint8)
-                    if covered < span_hi - span_lo:
-                        # Holes: pre-read so the span write-back preserves
-                        # the gap bytes (integrated data sieving's RMW).
-                        pre = env.adio.read_contig(span_lo, span_hi - span_lo)
-                        cbuf[span_lo - span[0] : span_hi - span[0]] = pre
-            with env.ctx.trace(
-                "round:exchange" if pipe is not None else "tp:exchange", round=r
-            ):
-                plan.crash_point("exchange")
-                if not plan.dying:
-                    env.stats.bytes_exchanged += exchange_data(
-                        comm, cost, "nonblocking", buf, send_plan, cbuf, recv_plan,
-                        skip=plan.skip,
-                    )
-            if pipe is not None:
-                if cbuf is not None:
-                    pipe.submit(
-                        _old_flush_task(
-                            env,
-                            span_lo,
-                            cbuf[span_lo - span[0] : span_hi - span[0]],
-                            r,
-                        ),
-                        round_no=r,
-                        stage="round:flush",
-                    )
-            else:
-                with env.ctx.trace("tp:io", round=r):
-                    plan.crash_point("flush")
-                    if cbuf is not None:
-                        env.stats.note_flush("datasieve-integrated")
-                        env.adio.write_contig(
-                            span_lo, cbuf[span_lo - span[0] : span_hi - span[0]]
-                        )
-                        if plan._crash is not None:
-                            # Crash-armed runs make each round durable: a later
-                            # death must not take already-written rounds down
-                            # with the corpse's cache (the re-plan treats them
-                            # as covered).
-                            env.adio.retry.run(env.ctx, env.adio.local.sync)
-            r += 1
-        if pipe is not None:
-            pipe.drain()
-    except BaseException:
-        if pipe is not None:
-            pipe.drain(suppress=True)
-        raise
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="old"):
-            cache.commit(rec, nrounds=plan.nrounds, aggs=plan.aggs)
-    env.stats.collective_writes += 1
+    run_collective(
+        env, "old", _OldPlan, _SieveIO, buf, memflat, total_bytes, data_lo, write=True
+    )
 
 
 def read_all_old(
@@ -632,102 +426,6 @@ def read_all_old(
 ) -> None:
     """Collective read, original implementation (integrated read sieve:
     the aggregator reads its whole window span once, then distributes)."""
-    cache = env.plancache
-    if cache is not None:
-        entry = cache.begin(env, memflat, total_bytes, data_lo, "old")
-        if entry is not None:
-            with env.ctx.trace("plan:replay", key=entry.key_id, impl="old"):
-                _replay_old(env, entry, buf, write=False)
-            return
-    rec = cache.recording("old") if cache is not None else None
-    with env.ctx.trace("tp:plan"):
-        plan = _OldPlan(env, memflat, total_bytes, data_lo)
-    comm, cost = env.comm, env.cost
-    pipe = maybe_pipeline(env)
-    if pipe is None:
-        r = 0
-        while r < plan.nrounds:
-            replacement = _check_boundary(plan, r)
-            if replacement is not None:
-                if rec is not None:
-                    rec.mark_dirty()
-                plan = replacement
-                r = 0
-                continue
-            env.stats.rounds += 1
-            with env.ctx.trace("tp:route", round=r):
-                recv_plan = _client_plan(plan, r)
-                span, send_plan, (m_offs, m_lens) = _agg_layout(plan, r)
-            if rec is not None:
-                # Write orientation (client batches as ``send``); the replay
-                # re-swaps for reads, mirroring the cold driver.
-                rec.add_round(recv_plan, span, send_plan, (m_offs, m_lens))
-            cbuf = None
-            with env.ctx.trace("tp:io", round=r):
-                plan.crash_point("flush")
-                if span is not None and m_offs is not None and m_offs.size:
-                    span_lo = int(m_offs[0])
-                    span_hi = int((m_offs + m_lens).max())
-                    cbuf = np.zeros(span[1] - span[0], dtype=np.uint8)
-                    env.stats.note_flush("datasieve-integrated")
-                    cbuf[span_lo - span[0] : span_hi - span[0]] = env.adio.read_contig(
-                        span_lo, span_hi - span_lo
-                    )
-            with env.ctx.trace("tp:exchange", round=r):
-                plan.crash_point("exchange")
-                if not plan.dying:
-                    env.stats.bytes_exchanged += exchange_data(
-                        comm, cost, "nonblocking", cbuf, send_plan, buf, recv_plan,
-                        skip=plan.skip,
-                    )
-            r += 1
-    else:
-        # Pipelined read: the span pre-read of round r+1 prefetches as a
-        # coroutine while round r's exchange distributes.  Never active
-        # with the crash machinery (maybe_pipeline stands down).
-        routed: List[tuple] = []
-        next_r = 0
-
-        def route_one(rr: int) -> None:
-            env.stats.rounds += 1
-            with env.ctx.trace("tp:route", round=rr):
-                recv_plan = _client_plan(plan, rr)
-                span, send_plan, (m_offs, m_lens) = _agg_layout(plan, rr)
-            if rec is not None:
-                rec.add_round(recv_plan, span, send_plan, (m_offs, m_lens))
-            handle = None
-            if span is not None and m_offs is not None and m_offs.size:
-                handle = pipe.submit(
-                    _old_fill_task(env, span, m_offs, m_lens, rr),
-                    round_no=rr,
-                    stage="round:fill",
-                )
-            routed.append((rr, send_plan, recv_plan, handle))
-
-        def prefetch() -> None:
-            nonlocal next_r
-            while next_r < plan.nrounds and (
-                not routed or (pipe.free_slots > 0 and len(routed) <= pipe.depth)
-            ):
-                route_one(next_r)
-                next_r += 1
-
-        try:
-            prefetch()
-            while routed:
-                rr, send_plan, recv_plan, handle = routed.pop(0)
-                cbuf = pipe.join(handle) if handle is not None else None
-                prefetch()
-                with env.ctx.trace("round:exchange", round=rr):
-                    env.stats.bytes_exchanged += exchange_data(
-                        comm, cost, "nonblocking", cbuf, send_plan, buf, recv_plan,
-                        skip=plan.skip,
-                    )
-            pipe.drain()
-        except BaseException:
-            pipe.drain(suppress=True)
-            raise
-    if rec is not None:
-        with env.ctx.trace("plan:store", key=rec.key_id, impl="old"):
-            cache.commit(rec, nrounds=plan.nrounds, aggs=plan.aggs)
-    env.stats.collective_reads += 1
+    run_collective(
+        env, "old", _OldPlan, _SieveIO, buf, memflat, total_bytes, data_lo, write=False
+    )

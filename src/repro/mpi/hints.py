@@ -91,12 +91,10 @@ _SPEC: Dict[str, tuple] = {
     # Data exchange backend (Section 5.4; two_layer adds the intra-node
     # request aggregation of Kang et al., PAPERS.md).
     "exchange": (_choice("alltoallw", "nonblocking", "two_layer"), "alltoallw"),
-    # Node-topology-aware exchange: True forces the two_layer backend
-    # regardless of the ``exchange`` hint.  ``procs_per_node`` overrides
-    # the cost model's node grouping for leader election and placement
-    # (0 = inherit CostModel.procs_per_node); it does not re-price the
-    # network, which stays a cost-model property.
-    "node_aggregation": (_boolean, False),
+    # Node topology: ``procs_per_node`` overrides the cost model's node
+    # grouping for leader election, placement and the two_layer
+    # exchange (0 = inherit CostModel.procs_per_node); it does not
+    # re-price the network, which stays a cost-model property.
     "procs_per_node": (_non_negative_int, 0),
     # Client-side request processing.
     "use_heap": (_boolean, True),

@@ -367,8 +367,10 @@ class TestEndToEndDetection:
 class TestJournal:
     JHINTS = HINTS.replace(journal_writes=True)
 
-    def test_commit_publishes_and_counts(self):
-        fs, results, _ = run_workload(hints=self.JHINTS, read_back=True)
+    @pytest.mark.parametrize("impl", ["new", "old"])
+    def test_commit_publishes_and_counts(self, impl):
+        hints = self.JHINTS.replace(coll_impl=impl)
+        fs, results, _ = run_workload(hints=hints, read_back=True)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         stats = fs.stats(PATH)
         assert stats.journal_commits == 1
@@ -380,10 +382,11 @@ class TestJournal:
                 out, np.full(REGION * COUNT, rank + 1, dtype=np.uint8)
             )
 
-    def test_sieving_sees_its_own_journaled_bytes(self):
+    @pytest.mark.parametrize("impl", ["new", "old"])
+    def test_sieving_sees_its_own_journaled_bytes(self, impl):
         # Data sieving pre-reads its window; inside a transaction those
         # reads must overlay the journal's bytes (read-your-writes).
-        hints = self.JHINTS.replace(io_method="datasieve")
+        hints = self.JHINTS.replace(io_method="datasieve", coll_impl=impl)
         fs, _, _ = run_workload(hints=hints, ncalls=2)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle(ncalls=2))
         assert fs.stats(PATH).journal_commits == 2

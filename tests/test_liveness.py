@@ -185,6 +185,21 @@ class TestDeadlineExceeded:
             exc = exc.__cause__ or exc.__context__
         assert any(isinstance(e, DeadlineExceeded) for e in chain)
 
+    @pytest.mark.parametrize("impl", ["new", "old"])
+    def test_straggler_blows_deadline_on_both_impls(self, impl):
+        # A 1000x straggler outlives a 2 ms budget on either
+        # implementation: every collective shares one round executor,
+        # which arms the deadline for each call.
+        hints = HINTS.replace(coll_impl=impl, coll_deadline=2e-3)
+        plan = FaultPlan(7).straggler(1000.0, [0])
+        with pytest.raises(RankFailed) as info:
+            run_workload(plan, hints=hints)
+        chain, exc = [], info.value
+        while exc is not None and exc not in chain:
+            chain.append(exc)
+            exc = exc.__cause__ or exc.__context__
+        assert any(isinstance(e, DeadlineExceeded) for e in chain)
+
     def test_quiet_deadline_is_invisible(self, baseline):
         # An armed deadline that never trips must not perturb bytes or
         # virtual times: liveness off the fault path is free.
