@@ -62,7 +62,7 @@ def _run_cell(pattern_name: str, ppn: int, mode: str) -> Dict[str, object]:
     )
     assert result.verified
     times = result.counters.get("time_by_state", {})
-    topo = result.counters.get("topology", {})
+    topo = result.counters["topology"]
     return {
         "pattern": pattern_name,
         "ppn": ppn,
@@ -73,12 +73,12 @@ def _run_cell(pattern_name: str, ppn: int, mode: str) -> Dict[str, object]:
         "sim_seconds": result.sim_seconds,
         "exchange_seconds": float(times.get("tp:exchange", 0.0)),
         "rounds": result.counters["rounds"],
-        "inter_node_msgs": int(topo.get("inter_node_msgs", 0)),
-        "inter_node_bytes": int(topo.get("inter_node_bytes", 0)),
-        "intra_node_msgs": int(topo.get("intra_node_msgs", 0)),
-        "intra_node_bytes": int(topo.get("intra_node_bytes", 0)),
-        "coalesce_runs_in": int(topo.get("coalesce_runs_in", 0)),
-        "coalesce_runs_out": int(topo.get("coalesce_runs_out", 0)),
+        "inter_node_msgs": int(topo.get("net.inter.msgs", 0)),
+        "inter_node_bytes": int(topo.get("net.inter.bytes", 0)),
+        "intra_node_msgs": int(topo.get("net.intra.msgs", 0)),
+        "intra_node_bytes": int(topo.get("net.intra.bytes", 0)),
+        "coalesce_runs_in": int(topo.get("exchange.coalesce.runs_in", 0)),
+        "coalesce_runs_out": int(topo.get("exchange.coalesce.runs_out", 0)),
     }
 
 

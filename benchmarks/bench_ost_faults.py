@@ -60,8 +60,7 @@ def _run_cell(scenario: str, breaker: bool, replication: int) -> Dict[str, objec
         breaker=breaker,
         replication=replication,
     )
-    seconds, verified, _, stats, counters = harness.run_once(harness.plan)
-    snap = stats.snapshot()
+    seconds, verified, _, counters = harness.run_once(harness.plan)
     return {
         "scenario": scenario,
         "breaker": breaker,
@@ -72,7 +71,7 @@ def _run_cell(scenario: str, breaker: bool, replication: int) -> Dict[str, objec
         "completed": seconds > 0.0,
         "sim_seconds": seconds,
         "verified": verified,
-        "retries": int(snap.get("retries", 0)),
+        "retries": _counter(counters, "faults.retries"),
         "down_hits": _counter(counters, "fs.ost.down_hits"),
         "breaker_fastfails": _counter(counters, "fs.ost.breaker_fastfail"),
         "failovers": _counter(counters, "fs.ost.failovers"),

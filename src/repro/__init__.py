@@ -32,7 +32,7 @@ reproductions.
 """
 
 from repro.config import CostModel, DEFAULT_COST_MODEL, FaultConfig, LivenessConfig
-from repro.core import CollectiveFile, CollStats, FileView
+from repro.core import CollectiveFile, FileView
 from repro.datatypes import (
     BYTE,
     CHAR,
@@ -70,7 +70,7 @@ from repro.errors import (
     TransientIOError,
     TransientNetworkError,
 )
-from repro.faults import FaultInjector, FaultPlan, FaultStats, load_scenario
+from repro.faults import FaultInjector, FaultPlan, load_scenario
 from repro.fs import FSClient, SimFileSystem
 from repro.integrity import FsckReport, IntegrityConfig, fsck, scrub_store
 from repro.io import AdioFile, RetryPolicy
@@ -133,7 +133,6 @@ __all__ = [
     "RetryPolicy",
     # core
     "CollectiveFile",
-    "CollStats",
     "FileView",
     # observability
     "Session",
@@ -146,7 +145,6 @@ __all__ = [
     "FaultConfig",
     "FaultPlan",
     "FaultInjector",
-    "FaultStats",
     "load_scenario",
     # liveness
     "LivenessConfig",

@@ -47,7 +47,8 @@ byte-perfect — the cache-correctness smoke CI runs on every push.
 ``--async`` (selfcheck, chaos) issues every collective through the
 nonblocking surface (``iwrite_all``/``iread_all`` +
 ``Request.wait()``, docs/async_io.md) instead of the blocking calls;
-``--pipeline D`` arms ``pipeline_depth=D`` (double-buffered rounds).
+``--pipeline D`` arms ``pipeline_depth=D`` (D = 1: double-buffered
+rounds; 0: serialized, the default).
 Both are held to the same byte-perfect contract and compose with
 ``--integrity``/``--ppn``.
 
@@ -89,11 +90,11 @@ def selfcheck(
         contiguous,
         resized,
     )
-    from repro.core.file_handle import sanctioned_construction
-    from repro.faults import FaultStats, load_scenario
+    from repro.faults import load_scenario
+    from repro.obs.metrics import MetricsRegistry
 
     plan = load_scenario(fault_spec) if fault_spec else None
-    totals = FaultStats()
+    totals = MetricsRegistry()
     nprocs, region, count = 4, 64, 16
     failures = 0
     for impl in ("new", "old"):
@@ -127,7 +128,7 @@ def selfcheck(
                 )
             if plan_cache:
                 hints = hints.replace(plan_cache=True)
-            if pipeline > 0:
+            if pipeline:
                 # Double-buffered rounds (docs/async_io.md) ride both
                 # implementations; byte-identity is exactly what this
                 # check verifies.
@@ -136,8 +137,7 @@ def selfcheck(
 
             def main(ctx):
                 comm = Communicator(ctx)
-                with sanctioned_construction():
-                    f = CollectiveFile(ctx, comm, fs, "/check", hints=hints)
+                f = CollectiveFile(ctx, comm, fs, "/check", hints=hints)
                 tile = resized(contiguous(region, BYTE), 0, region * nprocs)
                 f.set_view(disp=comm.rank * region, filetype=tile)
                 data = (np.arange(region * count, dtype=np.int64) * (comm.rank + 1) % 251).astype(np.uint8)
@@ -176,7 +176,7 @@ def selfcheck(
                     # cache down — bypass — so only the clean run gates.)
                     ok = ok and misses == nprocs and hits == (2 * reps - 1) * nprocs
             if injector is not None:
-                totals.merge(injector.stats)
+                totals.merge(injector.metrics)
             status = "ok" if ok else "FAILED"
             print(f"  {impl:>3} + {method:<12} {status}{extra}")
             failures += 0 if ok else 1
@@ -234,13 +234,13 @@ def crash_check(spec: str) -> int:
                 rank, call_index=0, round_index=epoch, site=site
             )
             harness = ChaosHarness(plan, nprocs=nprocs, hints=hints)
-            _, verified, _, stats, _ = harness.run_once(plan)
-            ok = verified and stats.rejoins == 1
+            _, verified, _, counters = harness.run_once(plan)
+            ok = verified and counters.get("faults.crash.rejoins") == 1
             status = "ok" if ok else "FAILED"
             print(
                 f"  {label:<16} site={site:<9} {status:<6} "
-                f"rewritten={stats.resume_rewritten_bytes:>5} "
-                f"skipped={stats.resume_skipped_bytes:>5}"
+                f"rewritten={counters.get('faults.crash.resume_rewritten_bytes', 0):>5} "
+                f"skipped={counters.get('faults.crash.resume_skipped_bytes', 0):>5}"
             )
             failures += 0 if ok else 1
     if failures:
@@ -250,13 +250,14 @@ def crash_check(spec: str) -> int:
     return 0
 
 
-def _print_fault_summary(spec, plan, stats) -> None:
+def _print_fault_summary(spec, plan, totals) -> None:
     print(f"\nfault scenario {spec!r} (seed {plan.seed}):")
     for kind, detail in plan.describe():
         print(f"  {kind:<14} {detail}")
     print("\nfault/retry summary:")
-    for name, value in stats.rows():
-        print(f"  {name:<26} {value}")
+    totals.counter("faults.injected")  # listed even when nothing fired
+    for line in totals.format("faults.").splitlines():
+        print("  " + line)
 
 
 def chaos(
@@ -309,7 +310,6 @@ def fsck(
         contiguous,
         resized,
     )
-    from repro.core.file_handle import sanctioned_construction
     from repro.integrity import fsck as run_fsck
 
     nprocs, region, count = 4, 64, 64
@@ -319,8 +319,7 @@ def fsck(
 
     def main(ctx):
         comm = Communicator(ctx)
-        with sanctioned_construction():
-            f = CollectiveFile(ctx, comm, fs, path, hints=hints)
+        f = CollectiveFile(ctx, comm, fs, path, hints=hints)
         tile = resized(contiguous(region, BYTE), 0, region * nprocs)
         f.set_view(disp=comm.rank * region, filetype=tile)
         data = (
@@ -430,9 +429,9 @@ def trace(
     print(f"makespan {session.makespan * 1e3:.3f} ms; time by state:")
     for state in sorted(by_state, key=by_state.get, reverse=True):
         print(f"  {state:<20} {by_state[state] * 1e3:9.3f} ms")
-    if session.fault_stats is not None:
+    if session.plan is not None:
         fired = ", ".join(
-            f"{k}={v:g}" for k, v in session.fault_stats.snapshot().items() if v
+            f"{k}={v:g}" for k, v in session.registry.snapshot("faults.").items() if v
         )
         print(f"faults: {fired or '-'}")
     if not all(verified):
@@ -695,15 +694,15 @@ def main(argv: list[str]) -> int:
     if "--pipeline" in args:
         i = args.index("--pipeline")
         if i + 1 >= len(args):
-            print("--pipeline requires a depth (rounds in flight)")
+            print("--pipeline requires a depth (0 or 1)")
             return 2
         try:
             pipeline = int(args[i + 1])
         except ValueError:
             print(f"--pipeline requires an integer, got {args[i + 1]!r}")
             return 2
-        if pipeline < 0:
-            print(f"--pipeline must be >= 0, got {pipeline}")
+        if pipeline not in (0, 1):
+            print(f"--pipeline must be 0 or 1, got {pipeline}")
             return 2
         del args[i : i + 2]
     as_json = "--json" in args

@@ -48,7 +48,6 @@ import numpy as np
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core import CollectiveFile
-from repro.core.file_handle import sanctioned_construction
 from repro.datatypes import BYTE, contiguous, resized
 from repro.datatypes.segments import FlatCursor
 from repro.datatypes.packing import scatter_segments
@@ -64,7 +63,7 @@ from repro.errors import (
     RetryBudgetExhausted,
     RetryExhausted,
 )
-from repro.faults import FaultPlan, FaultStats, OST_KINDS, load_scenario
+from repro.faults import FaultPlan, OST_KINDS, load_scenario
 from repro.mpi import Communicator, Hints
 from repro.obs.session import Session
 
@@ -126,10 +125,9 @@ class ChaosPoint:
     #: Corruption was injected and caught (checksum mismatch flagged,
     #: frame re-requested, or the run killed loudly) — never silent.
     detected: bool = False
-    fault_stats: Dict[str, float] = field(default_factory=dict)
     #: The point's full metrics-registry snapshot (stable dotted names:
-    #: ``cache.*``, ``fs.*``, ``net.*``, ``faults.*``, ...), so cache
-    #: behaviour under faults is visible per intensity step.
+    #: ``cache.*``, ``fs.*``, ``net.*``, ``faults.*``, ...), so fault
+    #: and cache behaviour is visible per intensity step.
     counters: Dict[str, object] = field(default_factory=dict)
 
 
@@ -157,7 +155,9 @@ class ChaosReport:
         ]
         for p in self.points:
             fired = ", ".join(
-                f"{k}={v:g}" for k, v in p.fault_stats.items() if v
+                f"{k[len('faults.'):]}={v:g}"
+                for k, v in p.counters.items()
+                if k.startswith("faults.") and v
             ) or "-"
             flag = "BAD" if not p.verified else ("det" if p.detected else "ok")
             lines.append(
@@ -260,11 +260,12 @@ class ChaosHarness:
 
     def run_once(
         self, plan: Optional[FaultPlan]
-    ) -> tuple[float, bool, bool, FaultStats, Dict[str, object]]:
+    ) -> tuple[float, bool, bool, Dict[str, object]]:
         """One full run (open, write_all, close) under ``plan``.
 
         Returns (virtual completion seconds, no-silent-corruption,
-        corruption-detected, fault stats, registry snapshot).
+        corruption-detected, registry snapshot).  Fault activity is in
+        the snapshot's ``faults.*`` entries.
         ``plan=None`` runs fault-free.  Failures unrelated to
         corruption detection propagate (they are harness bugs, not
         chaos outcomes).
@@ -288,8 +289,7 @@ class ChaosHarness:
 
         def main(ctx):
             comm = Communicator(ctx, self.cost)
-            with sanctioned_construction():
-                f = CollectiveFile(ctx, comm, fs, _PATH, hints=hints, cost=self.cost)
+            f = CollectiveFile(ctx, comm, fs, _PATH, hints=hints, cost=self.cost)
             tile = resized(contiguous(region, BYTE), 0, region * nprocs)
             f.set_view(disp=comm.rank * region, filetype=tile)
             if self.async_io:
@@ -305,30 +305,29 @@ class ChaosHarness:
         try:
             times = session.launch(main)
         except ReproError as exc:
-            stats = session.fault_stats or FaultStats()
             counters = session.registry.snapshot()
             if self.crash and any(
                 isinstance(e, CollectiveAborted) for e in _chain(exc)
             ):
                 # Quorum lost: the collective died loudly with the typed
                 # abort instead of hanging on the corpses.  Bounded.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if self.liveness and _liveness_in_chain(exc):
                 # Killed loudly by a typed liveness error — the bounded
                 # (and reported) alternative to a hang.  The raising
                 # rank's clock was at most one deadline past the call's
                 # start, so boundedness holds by construction.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if self.storage and _storage_in_chain(exc):
                 # Killed loudly by a typed storage error (the OST stayed
                 # down past what retries/replicas could absorb) — the
                 # bounded alternative to hammering a dead OST forever.
-                return 0.0, True, True, stats, counters
+                return 0.0, True, True, counters
             if not _detection_in_chain(exc):
                 raise
             # Killed loudly by detected corruption — the opposite of a
             # silent wrong answer.  No meaningful completion time.
-            return 0.0, True, True, stats, counters
+            return 0.0, True, True, counters
         if self.crash and session.sim is not None and session.sim.crashed:
             # Rejoin every corpse and resume: replay the same program,
             # rewriting only what no survivor committed on its behalf.
@@ -343,16 +342,16 @@ class ChaosHarness:
 
             for rank in sorted(session.sim.crashed):
                 session.rejoin(rank, rejoin_body(rank))
-        stats = session.fault_stats or FaultStats()
         counters = session.registry.snapshot()
         seconds = max(t for t in times if t is not None)
         got = fs.raw_bytes(_PATH, 0, self.total_bytes)
         diff = np.flatnonzero(got != self._oracle())
         detected = bool(
-            stats.net_corruptions_detected or stats.page_corruptions_detected
+            counters.get("faults.net.corruptions_detected")
+            or counters.get("faults.page.corruptions_detected")
         )
         if diff.size == 0:
-            return seconds, True, detected, stats, counters
+            return seconds, True, detected, counters
         # Bytes are wrong.  That is still "caught" when every wrong page
         # fails its sidecar (an fsck scrub flags exactly the damage);
         # anything less is silent corruption.
@@ -360,13 +359,13 @@ class ChaosHarness:
         bad = set(store.verify_all())
         wrong_pages = set((diff // store.page_size).tolist())
         caught = bool(bad) and wrong_pages <= bad
-        return seconds, caught, caught or detected, stats, counters
+        return seconds, caught, caught or detected, counters
 
     def sweep(
         self, rate_scales: Sequence[float] = (0.25, 0.5, 1.0, 2.0)
     ) -> ChaosReport:
         """Baseline plus one verified run per intensity."""
-        baseline, ok, _, _, _ = self.run_once(None)
+        baseline, ok, _, _ = self.run_once(None)
         report = ChaosReport(
             scenario=self.scenario_name,
             seed=self.plan.seed,
@@ -377,7 +376,7 @@ class ChaosHarness:
         if not ok:
             raise AssertionError("fault-free chaos baseline wrote corrupt data")
         for scale in rate_scales:
-            seconds, verified, detected, stats, counters = self.run_once(
+            seconds, verified, detected, counters = self.run_once(
                 self.plan.scaled(scale)
             )
             report.points.append(
@@ -387,7 +386,6 @@ class ChaosHarness:
                     slowdown=seconds / baseline if baseline > 0 else float("inf"),
                     verified=verified,
                     detected=detected,
-                    fault_stats=stats.snapshot(),
                     counters=counters,
                 )
             )

@@ -91,21 +91,19 @@ def run_collective(
     total = sum(written)
     reg = session.registry
     counters: Dict[str, object] = {
-        "fs": session.fs.stats(_PATH).snapshot(),
+        "fs": reg.view(_PATH).snapshot(),
         "rounds": reg.value("coll.rounds", 0),
         "client_pairs_total": reg.total("coll.client.pairs"),
         "client_tiles_skipped_total": reg.total("coll.client.tiles_skipped"),
         "agg_pairs_total": reg.total("coll.agg.pairs"),
         "meta_bytes_total": reg.total("coll.meta.bytes"),
         "bytes_exchanged_total": reg.total("exchange.bytes"),
+        # Per-tier wire traffic and two_layer coalescing (empty on a
+        # flat cluster): ``net.*`` and ``exchange.coalesce.*`` series.
+        "topology": {**reg.snapshot("net."), **reg.snapshot("exchange.coalesce.")},
     }
     if phases is not None:
         counters["time_by_state"] = phases.time_by_state()
-    from repro.mpi.topology import TOPOLOGY_KEY
-
-    topo_stats = session.sim.shared.get(TOPOLOGY_KEY)
-    if topo_stats is not None:
-        counters["topology"] = topo_stats.snapshot()
     result = BenchResult(
         label=label,
         nprocs=nprocs,
@@ -227,7 +225,7 @@ def run_hpio_read(
             "cb_nodes": base["cb_nodes"],
             "io_method": base["io_method"],
         },
-        counters={"fs": session.fs.stats(_PATH).snapshot()},
+        counters={"fs": session.registry.view(_PATH).snapshot()},
         verified=True,
     )
     return result

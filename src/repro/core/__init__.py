@@ -17,7 +17,7 @@ Public surface:
 """
 
 from repro.core.aggregation import select_aggregators
-from repro.core.file_handle import CollectiveFile, CollStats
+from repro.core.file_handle import CollectiveFile
 from repro.core.file_view import FileView
 from repro.core.realms import (
     AlignedPartition,
@@ -30,7 +30,6 @@ from repro.core.realms import (
 
 __all__ = [
     "CollectiveFile",
-    "CollStats",
     "FileView",
     "FileRealm",
     "RealmStrategy",

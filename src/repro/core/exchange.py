@@ -37,7 +37,8 @@ from repro.datatypes.segments import SegmentBatch
 from repro.errors import CollectiveIOError
 from repro.mpi.comm import Communicator
 from repro.mpi.request import waitall
-from repro.mpi.topology import NodeTopology, topology_stats
+from repro.mpi.topology import NodeTopology
+from repro.obs.metrics import metrics_registry
 
 __all__ = ["exchange_data", "EXCHANGE_MODES"]
 
@@ -94,7 +95,7 @@ def exchange_data(
         return sent
     if mode == "two_layer":
         if skip:
-            topology_stats(comm.ctx.shared).flat_fallbacks += 1
+            metrics_registry(comm.ctx.shared).counter("exchange.flat_fallbacks").inc()
             comm.alltoallw(
                 sendbuf, list(send_batches), recvbuf, list(recv_batches), skip=skip
             )
@@ -188,8 +189,8 @@ def _two_layer(
     """
     ctx = comm.ctx
     rank = comm.rank
-    stats = topology_stats(ctx.shared)
-    stats.two_layer_rounds += 1
+    metrics = metrics_registry(ctx.shared)
+    metrics.counter("exchange.two_layer.rounds").inc()
     pack_rate = cost.cpu_per_byte_touch + cost.cpu_per_byte_copy * cost.net_overlap_factor
 
     topo = topology if topology is not None else comm.topology
@@ -216,8 +217,8 @@ def _two_layer(
         if sendbuf is None:
             raise CollectiveIOError("two_layer exchange: send batch without a buffer")
         cb = b.coalesce()
-        stats.coalesce_runs_in += b.num_segments
-        stats.coalesce_runs_out += cb.num_segments
+        metrics.counter("exchange.coalesce.runs_in").inc(b.num_segments)
+        metrics.counter("exchange.coalesce.runs_out").inc(cb.num_segments)
         # One pass over the runs to merge them, then the pack itself.
         ctx.charge(b.num_segments * cost.cpu_per_flat_pair)
         ctx.charge(cb.total_bytes * pack_rate)

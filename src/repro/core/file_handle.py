@@ -21,14 +21,12 @@ steps are skipped.
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
 from typing import Hashable, List, Optional
 
 import numpy as np
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
-from repro.core.env import CollEnv, CollStats
+from repro.core.env import CollEnv
 from repro.core.file_view import FileView
 from repro.core.pfr import PFRState
 from repro.core.plancache import PlanCache
@@ -52,27 +50,7 @@ from repro.mpi.hints import Hints
 from repro.obs.metrics import MetricsView, metrics_registry
 from repro.sim.engine import RankContext
 
-__all__ = ["CollectiveFile", "CollStats", "sanctioned_construction"]
-
-#: Depth of active :func:`sanctioned_construction` scopes.  The engine
-#: runs one thread at a time, so a plain counter is race-free.
-_sanction_depth = 0
-
-
-@contextmanager
-def sanctioned_construction():
-    """Mark direct :class:`CollectiveFile` construction as intentional.
-
-    The documented way to open a file is :meth:`Session.open` +
-    :meth:`Session.run` (see ``docs/api.md``); internal plumbing that
-    still builds handles by hand wraps the construction in this scope
-    to keep the user-facing :class:`DeprecationWarning` quiet."""
-    global _sanction_depth
-    _sanction_depth += 1
-    try:
-        yield
-    finally:
-        _sanction_depth -= 1
+__all__ = ["CollectiveFile"]
 
 
 class CollectiveFile:
@@ -89,14 +67,6 @@ class CollectiveFile:
         client_id: Optional[Hashable] = None,
         resume_rank: Optional[int] = None,
     ) -> None:
-        if _sanction_depth == 0:
-            warnings.warn(
-                "Direct CollectiveFile construction is deprecated; open "
-                "files through repro.Session (Session.open(...).run(body) "
-                "hands each rank an open handle — see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.ctx = ctx
         self.comm = comm
         #: Rejoin replay mode (docs/crash_recovery.md): collective
@@ -168,7 +138,10 @@ class CollectiveFile:
         # Per-rank collective counters report into the simulation's
         # shared metrics registry (coll.* / exchange.* series).
         self.registry = metrics_registry(ctx.shared)
-        self._stats = CollStats(self.registry, ctx.rank)
+        self._metrics = self.registry.view(ctx.rank)
+        #: Per-aggregator assigned realm bytes of the most recent call
+        #: (see :attr:`CollEnv.last_realm_bytes`).
+        self.last_realm_bytes: List[int] = []
         self._call_seconds = self.registry.histogram("coll.call.seconds", ctx.rank)
         self.pfr = PFRState()
         # Persistent collective plans (docs/plan_cache.md): per-handle,
@@ -195,22 +168,7 @@ class CollectiveFile:
     @property
     def metrics(self) -> MetricsView:
         """This rank's registry view (``coll.*``/``exchange.*`` series)."""
-        return self.registry.view(self.ctx.rank)
-
-    @property
-    def stats(self) -> CollStats:
-        """Deprecated: the old per-handle stats object.
-
-        The same numbers now live in the metrics registry under stable
-        dotted names (see ``docs/observability.md``); read them via
-        :attr:`metrics` or a session's registry."""
-        warnings.warn(
-            "CollectiveFile.stats is deprecated; use CollectiveFile.metrics "
-            "or the session metrics registry instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._stats
+        return self._metrics
 
     # -- views --------------------------------------------------------------
     def set_view(
@@ -321,9 +279,10 @@ class CollectiveFile:
             hints=self.hints,
             adio=self.adio,
             view=self.view,
-            stats=self._stats,
+            metrics=self._metrics,
             pfr=self.pfr,
             plancache=self.plancache,
+            last_realm_bytes=self.last_realm_bytes,
         )
 
     @property
@@ -346,7 +305,7 @@ class CollectiveFile:
             # would kill an otherwise-survivable collective call.
             flushed = adio.retry.run(ctx, adio.local.sync)
             adio.local.invalidate()
-            self._stats.coherence_flush_pages += flushed
+            self._metrics.counter("coll.coherence.flush_pages").inc(flushed)
 
     # -- collective operations ---------------------------------------------------
     def _run_body(
@@ -378,9 +337,10 @@ class CollectiveFile:
             hints=self.hints,
             adio=adio,
             view=view,
-            stats=self._stats,
+            metrics=self._metrics,
             pfr=self.pfr,
             plancache=self.plancache,
+            last_realm_bytes=self.last_realm_bytes,
         )
         op_name = "write_all" if write else "read_all"
         t_begin = ctx.now
@@ -659,7 +619,7 @@ class CollectiveFile:
         )
         self.ctx.charge(batch.pairs_evaluated * self.cost.cpu_per_flat_pair)
         method = choose_method(self.hints, self.view.flat.extent, batch)
-        self._stats.note_flush(method)
+        self._metrics.counter(f"coll.flush.{method}").inc()
         mem_batch = data_to_file_segments(memflat, 0, 0, total)
         if write:
             # Gather the user data into data order; the file batch's

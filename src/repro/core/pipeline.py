@@ -3,13 +3,15 @@
 Serialized two-phase rounds pay ``exchange + flush`` per round; the
 paper conceded exactly this serialization (plus a copy) to layered
 I/O.  :class:`RoundPipeline` recovers it: with the ``pipeline_depth``
-hint set, the flush of round *k* runs as an engine coroutine (see
+hint set to 1, the flush of round *k* runs as an engine coroutine (see
 :meth:`repro.sim.engine.RankContext.spawn`) while the rank immediately
 starts the exchange of round *k+1* — on the read path, the *fill* of
-round *k+1* prefetches while round *k*'s exchange distributes.  The
-pool is bounded: at most ``depth`` coroutines (collective buffers) are
-in flight, and a submit past that limit back-pressures by joining the
-oldest (counted in ``coll.pipeline.stalls``).
+round *k+1* prefetches while round *k*'s exchange distributes.  One
+second collective buffer is all that buys: at most one coroutine is in
+flight, and a submit while it runs back-pressures by joining it first
+(counted in ``coll.pipeline.stalls``).  Deeper pools measured no
+faster (identical makespans at depths 1, 2 and 4), so the hint takes
+only 0 or 1.
 
 ``pipeline_depth = 0`` (the default) never constructs a pipeline —
 the drivers run their seed-identical serialized loop.  The pipeline
@@ -25,11 +27,10 @@ the join, so the caller's handling is identical to the inline path.
 Metrics: ``coll.pipeline.depth`` (gauge, configured depth),
 ``coll.pipeline.stalls`` (back-pressure joins), and
 ``coll.pipeline.overlap_seconds`` — virtual seconds of coroutine work
-that ran concurrently with the spawning rank's own progress, the
-number the bench asserts is nonzero at depth >= 2.
+that ran concurrently with the spawning rank's own progress.
 
 Trace: coroutines record ``round:flush`` / ``round:fill`` spans on
-their own per-slot lanes (:meth:`repro.sim.engine.Simulator.lane_for`),
+the rank's own pipeline lane (:meth:`repro.sim.engine.Simulator.lane_for`),
 so the Chrome export shows them overlapping the rank's
 ``round:exchange`` spans instead of corrupting the rank's span stack.
 """
@@ -37,7 +38,7 @@ so the Chrome export shows them overlapping the rank's
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, Optional
 
 from repro.core.env import CollEnv
 from repro.core.plancache import PLAN_MUTATING_KINDS
@@ -54,46 +55,40 @@ def maybe_pipeline(env: CollEnv) -> Optional["RoundPipeline"]:
     serialized rounds) or while a realm-mutating fault kind is armed —
     the same stand-down set the plan cache bypasses on, because both
     features assume the round schedule is fixed for the whole call."""
-    depth = env.hints["pipeline_depth"]
-    if depth <= 0:
+    if not env.hints["pipeline_depth"]:
         return None
     inj = env.ctx.shared.get(FAULTS_KEY)
     if inj is not None and any(inj.enabled(kind) for kind in PLAN_MUTATING_KINDS):
         return None
-    return RoundPipeline(env, depth)
+    return RoundPipeline(env)
 
 
 def task_env(env: CollEnv, tctx: RankContext) -> CollEnv:
     """``env`` rebound to a coroutine's context: the I/O stack charges
     the task's clock (via :meth:`repro.io.adio.AdioFile.rebound`) while
-    hints, view, stats, and the plan cache stay shared."""
+    hints, view, metrics, and the plan cache stay shared."""
     return replace(env, ctx=tctx, adio=env.adio.rebound(tctx))
 
 
 class RoundPipeline:
-    """Bounded pool of in-flight round coroutines for one collective call.
+    """The one in-flight round coroutine of one collective call.
 
-    Slots double as trace lanes: slot *s* of rank *r* always records on
-    the same interned lane, and a slot is only reused after its task is
-    joined, so the tracer's per-lane span stack stays well nested."""
+    Every coroutine of rank *r* records on the same interned lane; a
+    new one is only spawned after the previous one is joined, so the
+    tracer's per-lane span stack stays well nested."""
 
-    def __init__(self, env: CollEnv, depth: int) -> None:
-        self.env = env
+    def __init__(self, env: CollEnv) -> None:
         self.ctx = env.ctx
-        self.depth = depth
-        rank = env.stats.rank
         self._rank = env.comm.rank
-        registry = env.stats.registry
-        self._stalls = registry.counter("coll.pipeline.stalls", rank)
-        self._overlap = registry.counter("coll.pipeline.overlap_seconds", rank)
-        registry.gauge("coll.pipeline.depth", rank).value = depth
-        #: In-flight (handle, slot) pairs, oldest first.
-        self._inflight: List[Tuple[TaskHandle, int]] = []
-        self._free = list(range(depth))
+        metrics = env.metrics
+        self._stalls = metrics.counter("coll.pipeline.stalls")
+        self._overlap = metrics.counter("coll.pipeline.overlap_seconds")
+        metrics.gauge("coll.pipeline.depth").set(1)
+        self._inflight: Optional[TaskHandle] = None
 
     @property
-    def free_slots(self) -> int:
-        return len(self._free)
+    def busy(self) -> bool:
+        return self._inflight is not None
 
     def submit(
         self,
@@ -102,36 +97,31 @@ class RoundPipeline:
         round_no: int,
         stage: str,
     ) -> TaskHandle:
-        """Launch ``fn`` on a pool slot; back-pressure when full."""
-        if not self._free:
+        """Launch ``fn``; back-pressure on the task still in flight."""
+        if self._inflight is not None:
             self._stalls.inc()
-            self.join(self._inflight[0][0])
-        slot = self._free.pop(0)
+            self.join(self._inflight)
         lane = self.ctx._sim.lane_for(
-            ("pipe", id(self.ctx.shared), self._rank, slot),
-            f"rank {self._rank} pipeline[{slot}]",
+            ("pipe", id(self.ctx.shared), self._rank, 0),
+            f"rank {self._rank} pipeline[0]",
         )
-        handle = self.ctx.spawn(
+        self._inflight = self.ctx.spawn(
             fn, label=f"{stage}[{round_no}]@r{self._rank}", lane=lane
         )
-        self._inflight.append((handle, slot))
-        return handle
+        return self._inflight
 
     def join(self, handle: TaskHandle) -> Any:
-        """Join one task: free its slot, account realized overlap, and
-        return its value (or re-raise its captured error).  Joining a
-        handle the pool already reclaimed (via back-pressure) is safe —
-        the engine's join is idempotent."""
-        entry = next((e for e in self._inflight if e[0] is handle), None)
-        if entry is None:
+        """Join one task: account realized overlap and return its value
+        (or re-raise its captured error).  Joining a handle already
+        reclaimed by back-pressure is safe — the engine's join is
+        idempotent."""
+        if handle is not self._inflight:
             return self.ctx.join(handle)
         t_before = self.ctx.now
         try:
             return self.ctx.join(handle)
         finally:
-            self._inflight.remove(entry)
-            self._free.append(entry[1])
-            self._free.sort()
+            self._inflight = None
             # Overlap = the part of the task's virtual-time span the
             # parent covered with its own work before joining.
             self._overlap.value += max(
@@ -139,18 +129,15 @@ class RoundPipeline:
             )
 
     def drain(self, *, suppress: bool = False) -> None:
-        """Join everything still in flight, oldest first.
+        """Join the task still in flight, if any.
 
-        The first captured error is re-raised after *all* tasks are
-        joined (a coroutine must never be left running past its call);
-        ``suppress=True`` swallows errors instead — used on the unwind
-        path so a flush error never masks the primary exception."""
-        first: Optional[BaseException] = None
-        while self._inflight:
-            try:
-                self.join(self._inflight[0][0])
-            except Exception as exc:  # noqa: BLE001 - deferred to caller
-                if first is None:
-                    first = exc
-        if first is not None and not suppress:
-            raise first
+        ``suppress=True`` swallows its error instead of re-raising —
+        used on the unwind path so a flush error never masks the
+        primary exception."""
+        if self._inflight is None:
+            return
+        try:
+            self.join(self._inflight)
+        except Exception:  # noqa: BLE001 - deferred to caller
+            if not suppress:
+                raise

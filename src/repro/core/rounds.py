@@ -184,7 +184,7 @@ class Replay(Planner):
         self.topology = entry.topology
         self.ft_extent = entry.ft_extent
         if entry.realm_bytes is not None:
-            env.stats.last_realm_bytes = list(entry.realm_bytes)
+            env.last_realm_bytes[:] = entry.realm_bytes
 
     def rounds(self, buf: np.ndarray, *, write: bool) -> Iterable[int]:
         return range(len(self.recorded))
@@ -235,7 +235,7 @@ def execute(
 
     ``record``, when given, receives each :class:`RoundPlan` the planner
     routes: a plan-cache miss stores exactly what ran."""
-    ctx, comm, stats = env.ctx, env.comm, env.stats
+    ctx, comm, metrics = env.ctx, env.comm, env.metrics
     rank = comm.rank
     liv = ctx.shared.get(LIVENESS_KEY)
     # Round pipelining (docs/async_io.md): when armed, flushes and fills
@@ -271,7 +271,7 @@ def execute(
     def routed() -> Iterator[Tuple[int, RoundPlan]]:
         nonlocal service
         for r in planner.rounds(buf, write=write):
-            stats.rounds += 1
+            metrics.counter("coll.rounds").inc()
             if planner.recorded is not None:
                 yield r, planner.recorded[r]
                 continue
@@ -319,7 +319,7 @@ def execute(
         ahead: deque = deque()
 
         def prefetch() -> None:
-            while not ahead or (pipe.free_slots > 0 and len(ahead) <= pipe.depth):
+            while not ahead or (not pipe.busy and len(ahead) <= 1):
                 nxt = next(rounds, None)
                 if nxt is None:
                     return
@@ -376,10 +376,11 @@ def execute(
                             if write
                             else (cbuf, rp.recv, buf, rp.send)
                         )
-                        stats.bytes_exchanged += exchange_data(
+                        sent = exchange_data(
                             comm, env.cost, planner.mode, *legs,
                             skip=planner.skip, topology=planner.topology,
                         )
+                        metrics.counter("exchange.bytes").inc(sent)
                 if write:
                     flushed(r, rp, cbuf)
             if pipe is not None:
@@ -412,12 +413,9 @@ def execute(
     finally:
         if liv is not None:
             liv.end_call(rank)
-    if write:
-        stats.collective_writes += 1
-    else:
-        stats.collective_reads += 1
-    stats.agg_service_seconds += service
-    stats.last_agg_service_seconds = service
+    metrics.counter("coll.writes" if write else "coll.reads").inc()
+    metrics.counter("coll.agg.service_seconds").inc(service)
+    metrics.gauge("coll.agg.last_service_seconds").set(service)
 
 
 def _journal_commit(env: CollEnv, planner: Planner) -> None:

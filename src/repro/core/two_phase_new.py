@@ -170,7 +170,7 @@ class _Plan(Planner):
         # space.  Tests use this to see balanced-strategy boundary
         # movement between calls.
         self.realm_bytes = [int(d.total_bytes) for d in self.domains]
-        env.stats.last_realm_bytes = self.realm_bytes
+        env.last_realm_bytes[:] = self.realm_bytes
         cb = hints["cb_buffer_size"]
         self.cb = cb
         # The conditional-sieving metric: the largest filetype extent in
@@ -238,7 +238,7 @@ class _Plan(Planner):
             # observed service time from the *previous* collective call
             # back as an inverse weight, so a slow aggregator's realm
             # shrinks.  One allgather, paid only on the balanced path.
-            times = self._coll.allgather(env.stats.last_agg_service_seconds)
+            times = self._coll.allgather(env.metrics.value("coll.agg.last_service_seconds"))
             per_agg = [float(times[a]) for a in self.aggs]
             if any(t > 0.0 for t in per_agg):
                 known = [1.0 / t for t in per_agg if t > 0.0]
@@ -261,8 +261,8 @@ class _Plan(Planner):
         # Flattening cost on the client: one pass over the D pairs.
         if payload is not None:
             ctx.charge(flat.num_segments * cost.cpu_per_flat_pair)
-            env.stats.meta_bytes += len(payload[0]) * sum(
-                1 for a in self.aggs if a != comm.rank
+            env.metrics.counter("coll.meta.bytes").inc(
+                len(payload[0]) * sum(1 for a in self.aggs if a != comm.rank)
             )
         for a in self.aggs:
             if a != comm.rank:
@@ -326,11 +326,11 @@ class _Plan(Planner):
             + batch.tiles_skipped * cost.cpu_tile_skip
         )
         if agg_side:
-            env.stats.agg_pairs += batch.pairs_evaluated
-            env.stats.agg_tiles_skipped += batch.tiles_skipped
+            env.metrics.counter("coll.agg.pairs").inc(batch.pairs_evaluated)
+            env.metrics.counter("coll.agg.tiles_skipped").inc(batch.tiles_skipped)
         else:
-            env.stats.client_pairs += batch.pairs_evaluated
-            env.stats.client_tiles_skipped += batch.tiles_skipped
+            env.metrics.counter("coll.client.pairs").inc(batch.pairs_evaluated)
+            env.metrics.counter("coll.client.tiles_skipped").inc(batch.tiles_skipped)
 
     def _intersect_window(
         self, cursor: FlatCursor, window, *, agg_side: bool
@@ -705,8 +705,8 @@ class _Plan(Planner):
             env.ctx.charge(
                 pairs * env.cost.cpu_per_flat_pair + tiles * env.cost.cpu_tile_skip
             )
-            env.stats.client_pairs += pairs
-            env.stats.client_tiles_skipped += tiles
+            env.metrics.counter("coll.client.pairs").inc(pairs)
+            env.metrics.counter("coll.client.tiles_skipped").inc(tiles)
             batch = concat_batches(parts)
             if batch.empty:
                 return
@@ -720,7 +720,7 @@ class _Plan(Planner):
                 self.memflat, batch.data_offsets - self.data_lo, batch.lengths
             )
             method = choose_method(env.hints, self.ft_extent, fbatch)
-            env.stats.note_flush(method)
+            env.metrics.counter(f"coll.flush.{method}").inc()
             total = int(batch.total_bytes)
             env.ctx.charge(total * env.cost.cpu_per_byte_touch)
             if write:
@@ -753,7 +753,7 @@ class _LayeredIO(RoundIO):
             return
         wbatch = SegmentBatch(offs, lens.copy(), rp.window.to_buffer(offs))
         method = choose_method(env.hints, self.ft_extent, wbatch)
-        env.stats.note_flush(method)
+        env.metrics.counter(f"coll.flush.{method}").inc()
         env.adio.write_strided(wbatch, cbuf, method)
 
     def fill(self, env: CollEnv, rp) -> np.ndarray:
@@ -763,7 +763,7 @@ class _LayeredIO(RoundIO):
             return cbuf
         rbatch = SegmentBatch(offs, lens.copy(), rp.window.to_buffer(offs))
         method = choose_method(env.hints, self.ft_extent, rbatch)
-        env.stats.note_flush(method)
+        env.metrics.counter(f"coll.flush.{method}").inc()
         data = env.adio.read_strided(rbatch, method)
         cbuf[: data.size] = data
         return cbuf

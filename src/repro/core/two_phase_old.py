@@ -103,7 +103,7 @@ class _OldPlan(Planner):
             cursor = env.view.cursor(data_lo + total_bytes, data_lo)
             self.my_access = cursor.all_segments()
             ctx.charge(self.my_access.pairs_evaluated * cost.cpu_per_flat_pair)
-            env.stats.client_pairs += self.my_access.pairs_evaluated
+            env.metrics.counter("coll.client.pairs").inc(self.my_access.pairs_evaluated)
             if self._covered:
                 self.my_access = subtract_intervals(self.my_access, self._covered)
         else:
@@ -153,10 +153,10 @@ class _OldPlan(Planner):
                 continue
             wire = np.stack([part.file_offsets, part.lengths], axis=1)
             send_objs[a] = wire
-            env.stats.meta_bytes += wire.nbytes if a != comm.rank else 0
+            env.metrics.counter("coll.meta.bytes").inc(wire.nbytes if a != comm.rank else 0)
         if total_bytes > 0:
             ctx.charge(self.my_access.num_segments * cost.cpu_per_flat_pair)
-            env.stats.client_pairs += self.my_access.num_segments
+            env.metrics.counter("coll.client.pairs").inc(self.my_access.num_segments)
 
         # The request exchange is an all-to-all of per-aggregator lists
         # (over the survivor group when crashes are armed: a corpse
@@ -171,7 +171,7 @@ class _OldPlan(Planner):
                 offs = wire[:, 0].astype(np.int64)
                 lens = wire[:, 1].astype(np.int64)
                 ctx.charge(offs.size * cost.cpu_per_flat_pair)
-                env.stats.agg_pairs += int(offs.size)
+                env.metrics.counter("coll.agg.pairs").inc(int(offs.size))
                 dp = np.zeros(offs.size, dtype=np.int64)
                 np.cumsum(lens[:-1], out=dp[1:])
                 self.client_reqs[c] = SegmentBatch(offs, lens, dp)
@@ -392,14 +392,14 @@ class _SieveIO(RoundIO):
     def flush(self, env: CollEnv, rp, cbuf: np.ndarray) -> None:
         lo, hi = _data_span(rp)
         w_lo = rp.window[0]
-        env.stats.note_flush("datasieve-integrated")
+        env.metrics.counter("coll.flush.datasieve-integrated").inc()
         env.adio.write_contig(lo, cbuf[lo - w_lo : hi - w_lo])
 
     def fill(self, env: CollEnv, rp) -> np.ndarray:
         lo, hi = _data_span(rp)
         w_lo, w_hi = rp.window
         cbuf = np.zeros(w_hi - w_lo, dtype=np.uint8)
-        env.stats.note_flush("datasieve-integrated")
+        env.metrics.counter("coll.flush.datasieve-integrated").inc()
         cbuf[lo - w_lo : hi - w_lo] = env.adio.read_contig(lo, hi - lo)
         return cbuf
 

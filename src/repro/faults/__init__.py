@@ -25,10 +25,10 @@ Usage::
     sim = Simulator(4)
     injector = plan.install(sim)
     sim.run(main)
-    print(injector.stats.rows())
+    print(injector.metrics.format("faults."))
 """
 
-from repro.faults.injector import FaultInjector, FaultStats, find_injector
+from repro.faults.injector import FaultInjector, find_injector
 from repro.faults.plan import (
     EVENT_KINDS,
     FAULTS_KEY,
@@ -47,7 +47,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "FaultInjector",
-    "FaultStats",
     "find_injector",
     "SCENARIOS",
     "scenario",

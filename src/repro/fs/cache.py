@@ -28,7 +28,6 @@ Semantics follow a real FS client's page cache:
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Dict, List, Tuple
 
@@ -101,32 +100,6 @@ class PageCache:
         """This cache's registry view (``cache.*`` instruments)."""
         return self._metrics
 
-    def _deprecated(self, old: str, new: str):
-        warnings.warn(
-            f"PageCache.{old} is deprecated; read {new!r} from the metrics "
-            "registry (cache.metrics / fs.registry) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    @property
-    def stats_hits(self) -> int:
-        """Deprecated alias for the ``cache.hits`` counter."""
-        self._deprecated("stats_hits", "cache.hits")
-        return self._hits.value
-
-    @property
-    def stats_misses(self) -> int:
-        """Deprecated alias for the ``cache.misses`` counter."""
-        self._deprecated("stats_misses", "cache.misses")
-        return self._misses.value
-
-    @property
-    def stats_flushed_pages(self) -> int:
-        """Deprecated alias for the ``cache.flushed_pages`` counter."""
-        self._deprecated("stats_flushed_pages", "cache.flushed_pages")
-        return self._flushed.value
-
     @property
     def coherent(self) -> bool:
         return self.mode == "coherent"
@@ -142,6 +115,21 @@ class PageCache:
     @property
     def dirty_pages(self) -> int:
         return len(self._dirty)
+
+    def overlay_dirty(self, lo: int, hi: int, out: np.ndarray, offset: int) -> None:
+        """Copy this cache's dirty bytes in [lo, hi) into ``out``, a
+        buffer holding the file bytes from ``offset`` on."""
+        ps = self.page_size
+        for p in range(lo // ps, -(-hi // ps)):
+            runs = self._dirty.get(p)
+            buf = self._pages.get(p)
+            if runs is None or buf is None:
+                continue
+            base = p * ps
+            for start, end in runs:
+                s, e = max(base + start, lo), min(base + end, hi)
+                if s < e:
+                    out[s - offset : e - offset] = buf[s - base : e - base]
 
     @property
     def cached_pages(self) -> int:
@@ -277,21 +265,31 @@ class PageCache:
                     lens.append(length)
                 parts.append(part)
             snapshot.append((p, saved))
+        # Out of the dirty set but not on the server yet: concurrent
+        # server reads must see these bytes until the write lands.
+        pending = (
+            np.array(offs, dtype=np.int64),
+            np.array(lens, dtype=np.int64),
+            np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8),
+        )
+        unflushed = self.fs.unflushed(self.path)
+        token = object()
+        unflushed[token] = pending
         with ctx.trace("cache:flush", path=self.path, pages=len(dirty)):
-            ctx.charge(len(dirty) * self.fs.cost.cache_flush_page)
             try:
+                ctx.charge(len(dirty) * self.fs.cost.cache_flush_page)
                 self.fs.server_write(
                     ctx,
                     self.client_id,
                     self.path,
-                    np.array(offs, dtype=np.int64),
-                    np.array(lens, dtype=np.int64),
-                    np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8),
+                    *pending,
                     acquire_locks=acquire_locks,
                 )
             except FileSystemError:
                 self._restore_dirty(snapshot)
                 raise
+            finally:
+                del unflushed[token]
         self._flushed.value += len(dirty)
         return len(dirty)
 

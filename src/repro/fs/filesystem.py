@@ -66,63 +66,7 @@ from repro.sim.engine import RankContext
 if TYPE_CHECKING:  # pragma: no cover
     from repro.fs.cache import PageCache
 
-__all__ = ["SimFileSystem", "FileStats"]
-
-
-class FileStats:
-    """Operation counters for one file (inspected by tests/benches).
-
-    Each legacy attribute is a property over a registry counter under
-    the dotted names in :data:`FileStats.METRICS`, keyed by the file's
-    path — so a file system hosting several files reports distinct
-    ``fs.*``/``lock.*``/``journal.*`` series per path."""
-
-    #: legacy attribute -> registry metric name.
-    METRICS: Dict[str, str] = {
-        "server_reads": "fs.server.reads",
-        "server_writes": "fs.server.writes",
-        "bytes_read": "fs.bytes.read",
-        "bytes_written": "fs.bytes.written",
-        "rmw_pages": "fs.rmw.pages",
-        "lock_rpcs": "lock.rpcs",
-        "lock_revocations": "lock.revocations",
-        "revoke_flush_pages": "lock.revoke.flush_pages",
-        "journal_writes": "journal.writes",
-        "journal_commits": "journal.commits",
-        "journal_aborts": "journal.aborts",
-        "journal_pages_committed": "journal.pages_committed",
-        "journal_epochs": "journal.epochs",
-    }
-
-    __slots__ = ("registry", "path", "_instruments")
-
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, path: Optional[str] = None
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.path = path
-        self._instruments = {
-            attr: self.registry.counter(name, path)
-            for attr, name in self.METRICS.items()
-        }
-
-    def snapshot(self) -> Dict[str, int]:
-        return {attr: inst.value for attr, inst in self._instruments.items()}
-
-
-def _fs_counter_property(attr: str) -> property:
-    def getter(self):
-        return self._instruments[attr].value
-
-    def setter(self, v):
-        self._instruments[attr].value = v
-
-    return property(getter, setter)
-
-
-for _attr in FileStats.METRICS:
-    setattr(FileStats, _attr, _fs_counter_property(_attr))
-del _attr
+__all__ = ["SimFileSystem"]
 
 
 class _Txn:
@@ -156,7 +100,7 @@ class _Txn:
 
 
 class _File:
-    __slots__ = ("store", "locks", "stats", "txn", "epoch_log")
+    __slots__ = ("store", "locks", "metrics", "txn", "epoch_log", "unflushed", "revoking")
 
     def __init__(
         self,
@@ -167,13 +111,22 @@ class _File:
     ) -> None:
         self.store = PageStore(page_size)
         self.locks = ExtentLockManager(lock_granularity)
-        self.stats = FileStats(registry, path)
+        #: Path-keyed registry view: ``fs.*`` / ``lock.*`` /
+        #: ``journal.*`` series stay distinct per file.
+        self.metrics = registry.view(path)
         self.txn: Optional[_Txn] = None
         #: Committed per-epoch records (``docs/crash_recovery.md``):
         #: one entry per collective round whose bytes are durable, in
         #: commit order.  A rejoining rank replays this log to learn
         #: which of its rounds survived its crash.
         self.epoch_log: List[dict] = []
+        #: Bytes newer than the store that are not on it yet, which
+        #: every server read overlays (see ``_overlay_unflushed``):
+        #: cache flushes in flight (token -> offsets, lengths, data) and
+        #: open revocation windows (token -> (lo, hi, victim caches)
+        #: whose dirty bytes there the requester has yet to flush).
+        self.unflushed: Dict[object, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.revoking: Dict[object, List[Tuple[int, int, list]]] = {}
 
 
 class SimFileSystem:
@@ -449,8 +402,12 @@ class SimFileSystem:
     def file_size(self, path: str) -> int:
         return self._file(path).store.size
 
-    def stats(self, path: str) -> FileStats:
-        return self._file(path).stats
+    def unflushed(self, path: str) -> Dict[object, tuple]:
+        """The file's in-flight cache flushes (token -> offsets,
+        lengths, data): a client cache registers a writeback here from
+        the moment it takes the bytes out of its dirty set until the
+        server call returns, so concurrent server reads see them."""
+        return self._file(path).unflushed
 
     def paths(self) -> List[str]:
         """Every file in the namespace (fsck's iteration order)."""
@@ -646,35 +603,73 @@ class SimFileSystem:
         if run_lo is not None:
             runs.append((run_lo, run_hi))
         charges: list[LockCharge] = []
-        for lo, hi in runs:
-            # A conflicting *pinned* granule (lock_hold fault: the
-            # holder's callback thread is wedged) cannot be revoked —
-            # wait for recovery, lease reclaim, or deadlock breaking.
-            if f.locks.pinned:
-                self._await_pins(ctx, f, client_id, lo, hi, path)
-            charges.append(
-                f.locks.acquire(client_id, lo, hi, faults=faults, now=ctx.now)
-            )
-        if faults is not None and runs and faults.enabled("lock_hold"):
-            hold = faults.lock_hold_seconds(client_id, ctx.now)
-            if hold > 0.0:
-                for lo, hi in runs:
-                    f.locks.pin_range(client_id, lo, hi, ctx.now, ctx.now + hold)
-        rpcs = sum(c.rpcs for c in charges)
-        revoked = sum(c.revoked_granules for c in charges)
-        f.stats.lock_rpcs += rpcs
-        f.stats.lock_revocations += revoked
-        self._mirror_inc(client_id, "lock.rpcs", rpcs)
-        self._mirror_inc(client_id, "lock.revocations", revoked)
-        ctx.charge(rpcs * self.cost.lock_rpc + revoked * self.cost.lock_revoke)
-        # Coherent victims must flush and drop their pages in the range;
-        # the requester waits for it, so the requester's clock pays.
-        for charge in charges:
-            for victim, r_lo, r_hi in charge.revoked_ranges:
-                for cache in self._caches.get(victim, []):
-                    if cache.path == path and cache.coherent:
-                        flushed = cache.flush_and_invalidate_range(ctx, r_lo, r_hi)
-                        f.stats.revoke_flush_pages += flushed
+        # Victim caches must flush and drop their pages in each revoked
+        # range (write-through caches hold no dirty bytes but may hold
+        # pages the requester is about to change).  The lock table
+        # hands a granule over at once, while the victim's dirty bytes
+        # reach the store only when the callbacks below run; until then
+        # every server read overlays them — a third client may take the
+        # granule from us in between and would otherwise cache a stale
+        # page.
+        revoked: List[Tuple[int, int, list]] = []
+        token = object()
+        try:
+            for lo, hi in runs:
+                # A conflicting *pinned* granule (lock_hold fault: the
+                # holder's callback thread is wedged) cannot be revoked
+                # — wait for recovery, lease reclaim, or deadlock
+                # breaking.
+                if f.locks.pinned:
+                    self._await_pins(ctx, f, client_id, lo, hi, path)
+                charge = f.locks.acquire(client_id, lo, hi, faults=faults, now=ctx.now)
+                charges.append(charge)
+                for victim, r_lo, r_hi in charge.revoked_ranges:
+                    caches = [
+                        c for c in self._caches.get(victim, ())
+                        if c.path == path and c.mode in ("coherent", "writethrough")
+                    ]
+                    if caches:
+                        revoked.append((r_lo, r_hi, caches))
+                        f.revoking[token] = revoked
+            if faults is not None and runs and faults.enabled("lock_hold"):
+                hold = faults.lock_hold_seconds(client_id, ctx.now)
+                if hold > 0.0:
+                    for lo, hi in runs:
+                        f.locks.pin_range(client_id, lo, hi, ctx.now, ctx.now + hold)
+            rpcs = sum(c.rpcs for c in charges)
+            granules = sum(c.revoked_granules for c in charges)
+            f.metrics.counter("lock.rpcs").inc(rpcs)
+            f.metrics.counter("lock.revocations").inc(granules)
+            self._mirror_inc(client_id, "lock.rpcs", rpcs)
+            self._mirror_inc(client_id, "lock.revocations", granules)
+            ctx.charge(rpcs * self.cost.lock_rpc + granules * self.cost.lock_revoke)
+            # The requester waits for the victims, so its clock pays.
+            for r_lo, r_hi, caches in revoked:
+                for cache in caches:
+                    flushed = cache.flush_and_invalidate_range(ctx, r_lo, r_hi)
+                    f.metrics.counter("lock.revoke.flush_pages").inc(flushed)
+        finally:
+            f.revoking.pop(token, None)
+
+    @staticmethod
+    def _overlay_unflushed(f: _File, offset: int, out: np.ndarray) -> None:
+        """Patch bytes newer than the store over a store read of
+        ``out.size`` bytes at ``offset``: in-flight cache flushes, then
+        revoked-but-unflushed dirty bytes of coherent victims."""
+        hi = offset + int(out.size)
+        for offs, lens, data in f.unflushed.values():
+            pos = 0
+            for o, l in zip(offs.tolist(), lens.tolist()):
+                s, e = max(o, offset), min(o + l, hi)
+                if s < e:
+                    out[s - offset : e - offset] = data[pos + s - o : pos + e - o]
+                pos += l
+        for windows in f.revoking.values():
+            for w_lo, w_hi, victims in windows:
+                s, e = max(w_lo, offset), min(w_hi, hi)
+                if s < e:
+                    for cache in victims:
+                        cache.overlay_dirty(s, e, out, offset)
 
     def _await_pins(
         self,
@@ -934,9 +929,9 @@ class SimFileSystem:
         demand, up, views = self._storage_plan(
             ctx, client_id, f, path, offs, lens, rmw, "server_write", write=True
         )
-        f.stats.rmw_pages += rmw
-        f.stats.server_writes += 1
-        f.stats.bytes_written += total
+        f.metrics.counter("fs.rmw.pages").inc(rmw)
+        f.metrics.counter("fs.server.writes").inc()
+        f.metrics.counter("fs.bytes.written").inc(total)
         self._mirror_inc(client_id, "fs.rmw.pages", rmw)
         self._mirror_inc(client_id, "fs.server.writes", 1)
         self._mirror_inc(client_id, "fs.bytes.written", total)
@@ -949,7 +944,7 @@ class SimFileSystem:
                     f"journaled write on {path!r} without an open transaction"
                 )
             target = txn.store
-            f.stats.journal_writes += 1
+            f.metrics.counter("journal.writes").inc()
             # Journaled bytes go to the (plain) shadow store; the live
             # set matters at commit time, when they publish.
             demand = None
@@ -1008,8 +1003,8 @@ class SimFileSystem:
         demand, up, views = self._storage_plan(
             ctx, client_id, f, path, offs, lens, 0, "server_read", write=False
         )
-        f.stats.server_reads += 1
-        f.stats.bytes_read += total
+        f.metrics.counter("fs.server.reads").inc()
+        f.metrics.counter("fs.bytes.read").inc(total)
         self._mirror_inc(client_id, "fs.server.reads", 1)
         self._mirror_inc(client_id, "fs.bytes.read", total)
         replicated = isinstance(f.store, ReplicatedStore)
@@ -1024,6 +1019,8 @@ class SimFileSystem:
                     )
                 else:
                     piece = f.store.read(o, l)
+                if f.unflushed or f.revoking:
+                    self._overlay_unflushed(f, o, piece)
                 if journaled and f.txn is not None:
                     self._overlay_txn(f.txn, o, piece)
                 out[pos : pos + l] = piece
@@ -1115,7 +1112,7 @@ class SimFileSystem:
         rec = dict(record)
         rec["seq"] = len(f.epoch_log)
         f.epoch_log.append(rec)
-        f.stats.journal_epochs += 1
+        f.metrics.counter("journal.epochs").inc()
 
     def journal_replay(self, path: str) -> List[dict]:
         """The committed epoch records for ``path``, in commit order.
@@ -1140,7 +1137,7 @@ class SimFileSystem:
         f = self._file(path)
         if f.txn is not None and f.txn.txid != txid:
             f.txn = None
-            f.stats.journal_aborts += 1
+            f.metrics.counter("journal.aborts").inc()
         if f.txn is None:
             f.txn = _Txn(txid, self.cost.page_size, f.store.integrity)
 
@@ -1152,7 +1149,7 @@ class SimFileSystem:
         f = self._file(path)
         if f.txn is not None:
             f.txn = None
-            f.stats.journal_aborts += 1
+            f.metrics.counter("journal.aborts").inc()
 
     def txn_commit(self, ctx: RankContext, client_id: Hashable, path: str) -> int:
         """Atomically publish the open transaction into the main store.
@@ -1195,8 +1192,8 @@ class SimFileSystem:
                     else:
                         f.store.write(base + s, good)
             f.txn = None
-            f.stats.journal_commits += 1
-            f.stats.journal_pages_committed += len(pages)
+            f.metrics.counter("journal.commits").inc()
+            f.metrics.counter("journal.pages_committed").inc(len(pages))
             # Staged epoch records become durable with their bytes.
             for rec in txn.epochs:
                 self._publish_epoch(f, rec)

@@ -33,7 +33,8 @@ from repro.io.retry import RetryPolicy
 from repro.mpi.collectives import CollectiveMixin
 from repro.mpi.network import Network, payload_nbytes
 from repro.mpi.request import Request
-from repro.mpi.topology import NodeTopology, topology_stats
+from repro.mpi.topology import NodeTopology
+from repro.obs.metrics import MetricsRegistry, metrics_registry
 from repro.sim.engine import BLOCK_TIMEOUT, RankContext
 
 __all__ = ["ANY_SOURCE", "ANY_TAG", "Communicator"]
@@ -139,16 +140,16 @@ class Communicator(CollectiveMixin):
         # calls and derives the same child communicator id.
         self._split_count = 0
         # Two-tier topology (CostModel.procs_per_node > 1): node id per
-        # communicator rank, plus the shared traffic counters.  Flat
-        # clusters keep all three None — the send/recv fast path tests
-        # one attribute and pays nothing else.
+        # communicator rank, plus the registry the per-tier traffic
+        # counters live in.  Flat clusters keep all three None — the
+        # send/recv fast path tests one attribute and pays nothing else.
         self.topology: Optional[NodeTopology] = None
         self._node_of: Optional[tuple[int, ...]] = None
-        self._topo_stats = None
+        self._net_metrics: Optional[MetricsRegistry] = None
         if cost.procs_per_node > 1:
             self.topology = NodeTopology(cost.procs_per_node)
             self._node_of = tuple(self.topology.node_of(w) for w in self.members)
-            self._topo_stats = topology_stats(ctx.shared)
+            self._net_metrics = metrics_registry(ctx.shared)
         #: Cached per-node subcommunicators keyed by procs_per_node.
         self._node_comms: dict[int, "Communicator"] = {}
 
@@ -191,10 +192,16 @@ class Communicator(CollectiveMixin):
         return node_of is not None and node_of[peer] == node_of[self.rank]
 
     def _note_traffic(self, nbytes: int, intra: bool) -> None:
-        if self._topo_stats is not None:
-            self._topo_stats.note_message(
-                nbytes, self.cost.net_envelope_bytes, intra
-            )
+        """Count one message's wire bytes (payload + envelope) on its
+        tier and in the ``net.msgs`` / ``net.bytes`` totals."""
+        reg = self._net_metrics
+        if reg is not None:
+            wire = nbytes + self.cost.net_envelope_bytes
+            tier = "net.intra." if intra else "net.inter."
+            reg.counter(tier + "msgs").inc()
+            reg.counter(tier + "bytes").inc(wire)
+            reg.counter("net.msgs").inc()
+            reg.counter("net.bytes").inc(wire)
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
         """Blocking (buffered) send: completes after the sender overhead."""

@@ -32,6 +32,13 @@ def _non_negative_int(value: Any) -> int:
     return n
 
 
+def _zero_or_one(value: Any) -> int:
+    n = int(value)
+    if n not in (0, 1):
+        raise ValueError("must be 0 or 1")
+    return n
+
+
 def _boolean(value: Any) -> bool:
     if isinstance(value, bool):
         return value
@@ -76,13 +83,12 @@ _SPEC: Dict[str, tuple] = {
     # per-round schedule across identical calls and replay it with zero
     # datatype processing.  Off = bit-identical to the uncached path.
     "plan_cache": (_boolean, False),
-    # Round-level pipelining (docs/async_io.md): number of collective
-    # buffers per aggregator, so the flush of round k overlaps the
-    # exchange of round k+1 as engine coroutines.  0 (default) =
-    # serialized rounds, bit-identical to the unpipelined path; 1 =
-    # pipelined with a single in-flight flush; >=2 = deeper overlap
-    # with back-pressure when the pool is exhausted.
-    "pipeline_depth": (_non_negative_int, 0),
+    # Round-level pipelining (docs/async_io.md): 1 = a second
+    # collective buffer per aggregator, so the flush of round k
+    # overlaps the exchange of round k+1 as an engine coroutine; 0
+    # (default) = serialized rounds, bit-identical to the unpipelined
+    # path.  Deeper pools measured no faster and are not accepted.
+    "pipeline_depth": (_zero_or_one, 0),
     # Independent-I/O method used to flush the collective buffer.
     "io_method": (_choice("datasieve", "naive", "listio", "conditional"), "datasieve"),
     "ds_buffer_size": (_positive_int, 512 * 1024),

@@ -1,11 +1,10 @@
 """Unified observability layer: metrics registry, span tracing, Session.
 
-Everything the scattered stats APIs used to provide — ``CollStats``,
-``TopologyStats``, ``FaultStats``, the page cache's bare hit/miss ints,
-the per-file server counters — now flows through one
-:class:`MetricsRegistry` of named, typed instruments under stable
-dotted names (``net.inter.bytes``, ``cache.hits``, ``faults.injected``;
-the full catalogue lives in ``docs/observability.md``).  Span tracing
+Every counter — collective, network, fault, page-cache and per-file
+server series — is written straight into one :class:`MetricsRegistry`
+of named, typed instruments under stable dotted names
+(``net.inter.bytes``, ``cache.hits``, ``faults.injected``; the full
+catalogue lives in ``docs/observability.md``).  Span tracing
 (:mod:`repro.sim.trace`) covers every collective phase and exports
 Chrome ``trace_event`` JSON loadable in Perfetto, and
 :class:`Session` is the documented front door that wires the

@@ -175,7 +175,7 @@ class Session:
         the post-open barrier to the slowest rank's close, so deferred
         cache flushes are charged to the run that deferred them.
         Returns the per-rank ``body`` results."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.mpi.comm import Communicator
 
         from repro.liveness import find_crash_state
@@ -183,10 +183,9 @@ class Session:
 
         def main(ctx):
             comm = Communicator(ctx, self.cost)
-            with sanctioned_construction():
-                f = CollectiveFile(
-                    ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost
-                )
+            f = CollectiveFile(
+                ctx, comm, self.fs, self.path, hints=self.hints, cost=self.cost
+            )
             t0 = comm.allreduce(ctx.now, op=max)
             try:
                 out = body(ctx, comm, f)
@@ -244,7 +243,7 @@ class Session:
         survivor committed on the rank's behalf.  Returns a dict with
         the rank's ``result`` plus ``rewritten``/``skipped`` byte
         totals.  See ``docs/crash_recovery.md``."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.core.resume import ResumeComm
         from repro.sim.engine import Simulator
 
@@ -258,17 +257,16 @@ class Session:
 
         def replay(ctx):
             comm = ResumeComm(ctx, self.cost, rank, self.nprocs)
-            with sanctioned_construction():
-                f = CollectiveFile(
-                    ctx,
-                    comm,
-                    self.fs,
-                    self.path,
-                    hints=self.hints,
-                    cost=self.cost,
-                    client_id=("rejoin", rank),
-                    resume_rank=rank,
-                )
+            f = CollectiveFile(
+                ctx,
+                comm,
+                self.fs,
+                self.path,
+                hints=self.hints,
+                cost=self.cost,
+                client_id=("rejoin", rank),
+                resume_rank=rank,
+            )
             try:
                 out = body(ctx, comm, f)
             finally:
@@ -288,12 +286,6 @@ class Session:
     def metrics(self) -> MetricsRegistry:
         """Alias for :attr:`registry` (reads nicely at call sites)."""
         return self.registry
-
-    @property
-    def fault_stats(self):
-        """The installed injector's :class:`~repro.faults.FaultStats`,
-        or ``None`` when the session has no fault plan or has not run."""
-        return None if self._injector is None else self._injector.stats
 
     @property
     def makespan(self) -> float:
@@ -375,11 +367,10 @@ class Session:
                     f"  ost {ost:<4} {names[br.state]:<9} "
                     f"failures={br.failures}"
                 )
-        if self.fault_stats is not None:
+        if self._injector is not None:
             lines.append("")
             lines.append("faults:")
-            for name, value in self.fault_stats.rows():
-                lines.append(f"  {name:<26} {value}")
+            lines.append(self.registry.format("faults."))
         return "\n".join(lines)
 
     # -- context manager -----------------------------------------------------

@@ -221,7 +221,7 @@ class Cluster:
         storage_injector = None
         if self.storage_plan is not None:
             storage_injector = FaultInjector(self.storage_plan)
-            storage_injector.stats.rebind(self.registry)
+            storage_injector.metrics = self.registry
         self.storage_faults = storage_injector
         self.fs = SimFileSystem(
             cost,
@@ -325,7 +325,7 @@ class Cluster:
     def run(self) -> Dict[str, TenantResult]:
         """Run every admitted tenant concurrently; returns per-tenant
         results keyed by name.  Single-shot, like the simulator."""
-        from repro.core.file_handle import CollectiveFile, sanctioned_construction
+        from repro.core.file_handle import CollectiveFile
         from repro.faults.injector import FaultInjector
         from repro.fs.client import FSClient
         from repro.mpi.comm import Communicator
@@ -348,7 +348,7 @@ class Cluster:
             injector = None
             if spec.plan is not None:
                 injector = FaultInjector(spec.plan)
-                injector.stats.rebind(overlay[METRICS_KEY])
+                injector.metrics = overlay[METRICS_KEY]
                 overlay[FAULTS_KEY] = injector
                 have_faults = True
             for local, world in enumerate(spec.members):
@@ -377,16 +377,15 @@ class Cluster:
             )
             client_id = (spec.name, local)
             if spec.kind == "collective":
-                with sanctioned_construction():
-                    f = CollectiveFile(
-                        scoped,
-                        comm,
-                        cluster.fs,
-                        spec.path,
-                        hints=spec.hints,
-                        cost=cluster.cost,
-                        client_id=client_id,
-                    )
+                f = CollectiveFile(
+                    scoped,
+                    comm,
+                    cluster.fs,
+                    spec.path,
+                    hints=spec.hints,
+                    cost=cluster.cost,
+                    client_id=client_id,
+                )
                 t0 = comm.allreduce(scoped.now, op=max)
                 try:
                     out = spec.body(scoped, comm, f)

@@ -320,7 +320,7 @@ class TestTypedFailureParity:
 
 class TestComposition:
     def test_async_composes_with_pipeline_hint(self):
-        s = _session(hints=dict(pipeline_depth=2))
+        s = _session(hints=dict(pipeline_depth=1))
         region, count = 64, 16
 
         def body(ctx, comm, f):
@@ -346,8 +346,8 @@ class TestComposition:
         ):
             sync = ChaosHarness(spec, **kwargs)
             asyn = ChaosHarness(spec, async_io=True, **kwargs)
-            _, ok_s, det_s, _, _ = sync.run_once(sync.plan.scaled(1.0))
-            _, ok_a, det_a, _, _ = asyn.run_once(asyn.plan.scaled(1.0))
+            _, ok_s, det_s, _ = sync.run_once(sync.plan.scaled(1.0))
+            _, ok_a, det_a, _ = asyn.run_once(asyn.plan.scaled(1.0))
             assert ok_s and ok_a
             assert det_s == det_a
 
@@ -356,7 +356,7 @@ class TestComposition:
             1, call_index=0, round_index=1, site="exchange"
         )
         harness = ChaosHarness(plan, async_io=True)
-        seconds, verified, _, _, _ = harness.run_once(plan)
+        seconds, verified, _, _ = harness.run_once(plan)
         assert verified
         assert seconds > 0.0
 

@@ -135,6 +135,8 @@ def _hints(case, impl, exchange):
         values["exchange"] = exchange
     if exchange == "two_layer":
         values["procs_per_node"] = case["ppn"]
+    if "cache_mode" in case:
+        values["cache_mode"] = case["cache_mode"]
     return Hints(values)
 
 
@@ -203,6 +205,11 @@ def test_exchange_modes_byte_identical_sweep(case):
 #: ``PageCache.write``, and (b) between the server read and the page
 #: install in ``PageCache._fetch_pages`` (now poisoned mid-fetch, with
 #: the read path re-checking coverage, not just presence, afterwards).
+#: The 5-rank cases hit (c) the window between a lock transfer and the
+#: revoked holder's flush, in which a third client read the store
+#: without the holder's dirty bytes (now overlaid on every server read
+#: until they land), and (d) write-through caches, which kept pages
+#: across revocations (now dropped like a coherent cache's).
 _COHERENCE_REGRESSIONS = tuple(
     {
         "nprocs": 3, "slot": 17, "seg_lo": seg_lo, "seg_len": 1, "tiles": 6,
@@ -211,6 +218,14 @@ _COHERENCE_REGRESSIONS = tuple(
         "seed": 0,
     }
     for seg_lo in (0, 13)
+) + tuple(
+    {
+        "nprocs": 5, "slot": 14, "seg_lo": 1, "seg_len": 2, "tiles": 3,
+        "ppn": 1, "cb": 96, "cb_nodes": 0, "strategy": "balanced",
+        "alignment": 0, "io_method": "datasieve", "empty_last": False,
+        "seed": 0, "cache_mode": mode,
+    }
+    for mode in ("coherent", "writethrough")
 )
 
 

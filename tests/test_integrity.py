@@ -285,7 +285,7 @@ class TestEndToEndDetection:
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=5).page_bitflip(rate=1.0), hints=hints
         )
-        assert injector.stats.page_bits_flipped > 0
+        assert injector.metrics.value("faults.page.bits_flipped") > 0
         bad = fs.page_store(PATH).verify_all()
         assert bad  # the scrub sees the damage offline...
         # A read-only run must die loudly (a fresh *write* would re-stamp
@@ -301,7 +301,7 @@ class TestEndToEndDetection:
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=5).page_bitflip(rate=1.0)
         )
-        assert injector.stats.page_bits_flipped > 0
+        assert injector.metrics.value("faults.page.bits_flipped") > 0
         got = fs.raw_bytes(PATH, 0, SIZE)
         assert not np.array_equal(got, oracle())  # the silent wrong answer
         assert fs.page_store(PATH).verify_all() == []  # nothing to catch it
@@ -313,10 +313,10 @@ class TestEndToEndDetection:
             hints=hints,
             read_back=True,
         )
-        stats = injector.stats
-        assert stats.net_bits_flipped > 0
-        assert stats.net_corruptions_detected > 0
-        assert stats.net_redeliveries > 0
+        reg = injector.metrics
+        assert reg.value("faults.net.bits_flipped") > 0
+        assert reg.value("faults.net.corruptions_detected") > 0
+        assert reg.value("faults.net.redeliveries") > 0
         # Every frame was healed in flight: contents are byte-perfect.
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
         for rank, out in enumerate(results):
@@ -328,8 +328,8 @@ class TestEndToEndDetection:
         fs, _, injector = run_workload(
             plan=FaultPlan(seed=3).net_bitflip(rate=0.3)
         )
-        assert injector.stats.net_bits_flipped > 0
-        assert injector.stats.net_corruptions_detected == 0
+        assert injector.metrics.value("faults.net.bits_flipped") > 0
+        assert injector.metrics.value("faults.net.corruptions_detected") == 0
         assert not np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
 
     def test_persistent_net_corruption_exhausts_rerequests(self):
@@ -372,10 +372,10 @@ class TestJournal:
         hints = self.JHINTS.replace(coll_impl=impl)
         fs, results, _ = run_workload(hints=hints, read_back=True)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
-        stats = fs.stats(PATH)
-        assert stats.journal_commits == 1
-        assert stats.journal_writes > 0
-        assert stats.journal_pages_committed > 0
+        reg = fs.registry
+        assert reg.value("journal.commits", PATH) == 1
+        assert reg.value("journal.writes", PATH) > 0
+        assert reg.value("journal.pages_committed", PATH) > 0
         assert not fs.txn_active(PATH)
         for rank, out in enumerate(results):
             assert np.array_equal(
@@ -389,7 +389,7 @@ class TestJournal:
         hints = self.JHINTS.replace(io_method="datasieve", coll_impl=impl)
         fs, _, _ = run_workload(hints=hints, ncalls=2)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle(ncalls=2))
-        assert fs.stats(PATH).journal_commits == 2
+        assert fs.registry.value("journal.commits", PATH) == 2
 
     def test_journal_composes_with_page_integrity(self):
         hints = self.JHINTS.replace(integrity_pages=True)
@@ -409,7 +409,7 @@ class TestJournal:
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), pre)
         assert fs.txn_active(PATH)  # the orphaned journal survives...
-        assert fs.stats(PATH).journal_commits == 1  # ...uncommitted
+        assert fs.registry.value("journal.commits", PATH) == 1  # ...uncommitted
 
     def test_stale_journal_is_discarded_not_committed(self):
         # Crash the *second* call (txid 1), then run a fresh workload
@@ -421,17 +421,17 @@ class TestJournal:
         with pytest.raises(RankFailed):
             run_workload(plan=plan, hints=hints, ncalls=2, fs=fs)
         assert fs.txn_active(PATH)
-        aborts_before = fs.stats(PATH).journal_aborts
+        aborts_before = fs.registry.value("journal.aborts", PATH)
         fs2, _, _ = run_workload(hints=self.JHINTS, fs=fs)
-        assert fs2.stats(PATH).journal_aborts == aborts_before + 1
+        assert fs2.registry.value("journal.aborts", PATH) == aborts_before + 1
         assert np.array_equal(fs2.raw_bytes(PATH, 0, SIZE), oracle())
 
     def test_crash_with_failover_still_commits(self):
         plan = FaultPlan(seed=2).agg_crash(rank=0, call_index=0, round_index=1)
         fs, _, injector = run_workload(plan=plan, hints=self.JHINTS)
-        assert injector.stats.agg_crashes == 1
+        assert injector.metrics.value("faults.agg.crashes") == 1
         assert np.array_equal(fs.raw_bytes(PATH, 0, SIZE), oracle())
-        assert fs.stats(PATH).journal_commits == 1
+        assert fs.registry.value("journal.commits", PATH) == 1
         assert not fs.txn_active(PATH)
 
 
@@ -534,8 +534,8 @@ class TestChaosAcceptance:
         report = ChaosHarness("bit-flip:42", integrity=True).sweep()
         assert report.all_verified
         flips = sum(
-            p.fault_stats.get("page_bits_flipped", 0)
-            + p.fault_stats.get("net_bits_flipped", 0)
+            p.counters.get("faults.page.bits_flipped", 0)
+            + p.counters.get("faults.net.bits_flipped", 0)
             for p in report.points
         )
         assert flips > 0  # the sweep actually injected corruption

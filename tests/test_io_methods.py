@@ -169,7 +169,7 @@ class TestCostShape:
     def test_datasieve_fewer_calls_than_naive(self):
         _, fs_ds = self._time_write("datasieve", 16, 48, 32)
         _, fs_nv = self._time_write("naive", 16, 48, 32)
-        assert fs_ds.stats("/f").server_writes < fs_nv.stats("/f").server_writes
+        assert fs_ds.registry.value("fs.server.writes", "/f") < fs_nv.registry.value("fs.server.writes", "/f")
 
     def test_small_extent_datasieve_wins(self):
         # Dense small regions: per-call overhead dominates naive.
@@ -185,7 +185,7 @@ class TestCostShape:
 
     def test_listio_single_client_call_many_server_frags(self):
         _, fs = self._time_write("listio", 16, 48, 32)
-        assert fs.stats("/f").server_writes == 1
+        assert fs.registry.value("fs.server.writes", "/f") == 1
 
     def test_datasieve_windows_bound_rmw_span(self):
         t_small, _ = self._time_write("datasieve", 16, 112, 64, ds_buffer=256)

@@ -215,8 +215,8 @@ class TestSuspectFailover:
         hints = LIVE_HINTS.replace(exchange=exchange)
         contents, times, injector, sim = run_workload(stall_plan(), hints=hints)
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 1
-        assert injector.stats.rank_stalls == 1
+        assert injector.metrics.value("faults.suspects_declared") == 1
+        assert injector.metrics.value("faults.stalls") == 1
         assert find_liveness(sim.shared).suspects == {0}
 
     def test_stalled_client_failed_over_on_read(self, baseline):
@@ -227,13 +227,13 @@ class TestSuspectFailover:
             plan, hints=LIVE_HINTS, read_back=True
         )
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 1
+        assert injector.metrics.value("faults.suspects_declared") == 1
 
     def test_stall_without_liveness_just_slows_down(self, baseline):
         contents, times, injector, sim = run_workload(stall_plan())
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.suspects_declared == 0
-        assert injector.stats.stall_seconds == pytest.approx(5e-2)
+        assert injector.metrics.value("faults.suspects_declared") == 0
+        assert injector.metrics.value("faults.stall_seconds") == pytest.approx(5e-2)
         assert max(times) > max(baseline[1])
         assert find_liveness(sim.shared) is None
 
@@ -255,7 +255,7 @@ class TestSuspectFailover:
             plan, hints=HINTS.replace(exchange=exchange)
         )
         assert np.array_equal(contents, baseline[0])
-        assert injector.stats.straggler_events > 0
+        assert injector.metrics.value("faults.straggler.events") > 0
 
 
 class TestLockLiveness:
@@ -286,7 +286,7 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims >= 1
+        assert injector.metrics.value("faults.lock.lease_reclaims") >= 1
         # Woke at t_pinned + lease, well before the 5e-2 pin expiry.
         assert 2e-2 <= times[1] < 5e-2
 
@@ -306,7 +306,7 @@ class TestLockLiveness:
         sim = Simulator(2)
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims == 0
+        assert injector.metrics.value("faults.lock.lease_reclaims") == 0
         assert times[1] >= 5e-2
 
     def test_late_unlock_wakes_waiter_before_lease(self):
@@ -331,7 +331,7 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=5e-2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_lease_reclaims == 0
+        assert injector.metrics.value("faults.lock.lease_reclaims") == 0
         assert 1e-2 <= times[1] < 2e-2
 
     def test_deadlock_cycle_broken_and_retried(self):
@@ -359,8 +359,8 @@ class TestLockLiveness:
         injector = FaultPlan(seed=4).lock_hold(rate=1.0, hold=0.2).install(sim)
         install_liveness(sim.shared, LivenessState(LivenessConfig(lock_lease=2e-2)))
         times = sim.run(main)
-        assert injector.stats.lock_deadlocks >= 1
-        assert injector.stats.retries >= 1
+        assert injector.metrics.value("faults.lock.deadlocks") >= 1
+        assert injector.metrics.value("faults.retries") >= 1
         # Bounded: lease reclaim caps the post-deadlock wait, nobody
         # waits for the full 0.2s pin.
         assert max(times) < 0.1
@@ -409,7 +409,7 @@ class TestBalancedRealms:
                 f.seek(0)
                 f.write_all(buf)
                 if comm.rank == 0:
-                    realms.append(list(f._stats.last_realm_bytes))
+                    realms.append(list(f.last_realm_bytes))
             f.close()
 
         sim = Simulator(nprocs)
@@ -449,14 +449,15 @@ class TestChaosLiveness:
     def test_liveness_run_beats_waiting(self):
         live = ChaosHarness("stall:42", liveness=True)
         wait = ChaosHarness("stall:42")
-        live_s, ok_live, _, _, _ = live.run_once(live.plan.scaled(1.0))
-        wait_s, ok_wait, _, _, _ = wait.run_once(wait.plan.scaled(1.0))
+        live_s, ok_live, _, _ = live.run_once(live.plan.scaled(1.0))
+        wait_s, ok_wait, _, _ = wait.run_once(wait.plan.scaled(1.0))
         assert ok_live and ok_wait
         assert live_s < wait_s
 
 
-class TestFaultStatsLiveness:
-    def test_liveness_hooks_count_uniformly(self):
+class TestFaultCountersLiveness:
+    @staticmethod
+    def _noted() -> FaultInjector:
         inj = FaultInjector(FaultPlan(seed=0))
         inj.note_straggler(0.25)
         inj.note_straggler(0.5)
@@ -465,23 +466,29 @@ class TestFaultStatsLiveness:
         inj.note_deadline_exceeded()
         inj.note_lock_reclaim(3)
         inj.note_lock_deadlock()
-        s = inj.stats.snapshot()
-        assert s["straggler_events"] == 2
-        assert s["straggler_extra_seconds"] == pytest.approx(0.75)
-        assert s["rank_stalls"] == 1
-        assert s["stall_seconds"] == pytest.approx(0.05)
-        assert s["suspects_declared"] == 1
-        assert s["deadlines_exceeded"] == 1
-        assert s["lock_lease_reclaims"] == 3
-        assert s["lock_deadlocks"] == 1
+        return inj
+
+    def test_liveness_hooks_count_uniformly(self):
+        reg = self._noted().metrics
+        assert reg.value("faults.straggler.events") == 2
+        assert reg.value("faults.straggler.extra_seconds") == pytest.approx(0.75)
+        assert reg.value("faults.stalls") == 1
+        assert reg.value("faults.stall_seconds") == pytest.approx(0.05)
+        assert reg.value("faults.suspects_declared") == 1
+        assert reg.value("faults.deadlines_exceeded") == 1
+        assert reg.value("faults.lock.lease_reclaims") == 3
+        assert reg.value("faults.lock.deadlocks") == 1
+        # Stragglers, stalls and reclaimed lease granules are injected
+        # events; suspects, deadlines and deadlocks are detections.
+        assert reg.value("faults.injected") == 2 + 1 + 3
 
     def test_snapshot_has_liveness_keys(self):
-        keys = set(FaultInjector(FaultPlan()).stats.snapshot())
-        assert {
-            "rank_stalls", "stall_seconds", "lock_holds", "lock_hold_seconds",
-            "lock_lease_reclaims", "lock_deadlocks", "suspects_declared",
-            "deadlines_exceeded",
-        } <= keys
+        assert set(self._noted().metrics.snapshot("faults.")) == {
+            "faults.straggler.events", "faults.straggler.extra_seconds",
+            "faults.stalls", "faults.stall_seconds", "faults.suspects_declared",
+            "faults.deadlines_exceeded", "faults.lock.lease_reclaims",
+            "faults.lock.deadlocks", "faults.injected",
+        }
 
 
 class TestLivenessInstall:

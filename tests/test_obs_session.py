@@ -108,7 +108,7 @@ class TestFaults:
             hints={"cb_nodes": 2, "cb_buffer_size": 512},
             faults="transient-io:42",
         )
-        assert s.fault_stats is None  # not installed until a run
+        assert s.registry.snapshot("faults.") == {}  # not installed until a run
 
         def body(ctx, comm, f):
             region = 64
@@ -120,11 +120,10 @@ class TestFaults:
             return 1
 
         assert s.run(body) == [1] * 4
-        assert s.fault_stats is not None
-        assert s.fault_stats.io_faults > 0
-        assert s.fault_stats.retries > 0
-        # The injector's counters live in the session registry too.
-        assert s.registry.value("faults.io") == s.fault_stats.io_faults
+        assert s.registry.value("faults.io") > 0
+        assert s.registry.value("faults.retries") > 0
+        # The injector writes its counters into the session registry.
+        assert s._injector.metrics is s.registry
 
     def test_summary_mentions_faults(self):
         s = Session("/data", nprocs=2, faults="transient-io:42")

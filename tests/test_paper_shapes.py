@@ -141,19 +141,19 @@ class TestFig7Shape:
         )
 
     def test_alignment_silences_locks(self, rates):
-        aligned = rates["pfr_align"].counters["fs"]["lock_revocations"]
-        misaligned = rates["pfr_noalign"].counters["fs"]["lock_revocations"]
+        aligned = rates["pfr_align"].counters["fs"]["lock.revocations"]
+        misaligned = rates["pfr_noalign"].counters["fs"]["lock.revocations"]
         assert aligned == 0
         assert misaligned > 0
 
     def test_pfr_defers_server_writes(self, rates):
         assert (
-            rates["pfr_align"].counters["fs"]["server_writes"]
-            < rates["nopfr_align"].counters["fs"]["server_writes"]
+            rates["pfr_align"].counters["fs"]["fs.server.writes"]
+            < rates["nopfr_align"].counters["fs"]["fs.server.writes"]
         )
 
     def test_pfr_avoids_partial_page_rmw(self, rates):
         assert (
-            rates["pfr_align"].counters["fs"]["rmw_pages"]
-            < rates["nopfr_align"].counters["fs"]["rmw_pages"] / 4
+            rates["pfr_align"].counters["fs"]["fs.rmw.pages"]
+            < rates["nopfr_align"].counters["fs"]["fs.rmw.pages"] / 4
         )

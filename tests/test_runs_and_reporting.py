@@ -114,7 +114,7 @@ class TestBenchHarness:
         assert r.total_bytes == p.total_bytes
         assert r.sim_seconds > 0
         assert r.bandwidth_mbs > 0
-        assert r.counters["fs"]["bytes_written"] >= p.total_bytes
+        assert r.counters["fs"]["fs.bytes.written"] >= p.total_bytes
         assert r.params["impl"] == "new"
 
     def test_old_impl_representation_forced(self):

@@ -444,7 +444,7 @@ def _chain(exc):
 def test_unreplicated_crash_rides_out_with_retries():
     s = _run(faults="ost-crash")
     assert np.array_equal(s.fs.raw_bytes(PATH, 0, REGION * NPROCS), _expected())
-    assert s.fault_stats.snapshot().get("ost_rejections", 0) > 0
+    assert s.registry.value("faults.ost.rejections") > 0
 
 
 def test_unreplicated_long_crash_raises_typed_error():
@@ -497,9 +497,9 @@ def test_rank_crash_composes_with_ost_flap():
     assert out["rewritten"] > 0
     got = np.asarray(s.fs.raw_bytes(PATH, 0, total))
     assert np.array_equal(got, ref)
-    snap = s.fault_stats.snapshot()
-    assert snap["rank_crashes"] == 1 and snap["rejoins"] == 1
-    assert snap["retries"] > 0 or snap["ost_rejections"] > 0
+    reg = s.registry
+    assert reg.value("faults.crashes") == 1 and reg.value("faults.crash.rejoins") == 1
+    assert reg.value("faults.retries") > 0 or reg.value("faults.ost.rejections") > 0
 
 
 def test_replicated_crash_byte_identical_and_checksum_equal():

@@ -32,12 +32,8 @@ from repro.faults import FaultPlan
 from repro.fs import SimFileSystem
 from repro.mpi import Communicator, Hints
 from repro.mpi.network import Network
-from repro.mpi.topology import (
-    TOPOLOGY_KEY,
-    NodeTopology,
-    resolve_topology,
-    topology_stats,
-)
+from repro.mpi.topology import NodeTopology, resolve_topology
+from repro.obs.metrics import metrics_registry
 from repro.sim import Simulator
 
 COST = CostModel(page_size=64, stripe_size=256, num_osts=2)
@@ -141,12 +137,12 @@ class TestTwoTierNetwork:
 
         sim = Simulator(4)
         times = sim.run(main)
-        stats = sim.shared[TOPOLOGY_KEY].snapshot()
-        assert stats["intra_node_msgs"] == 1
-        assert stats["inter_node_msgs"] == 1
+        reg = metrics_registry(sim.shared)
+        assert reg.value("net.intra.msgs") == 1
+        assert reg.value("net.inter.msgs") == 1
         env = cost.net_envelope_bytes
-        assert stats["intra_node_bytes"] == 100 + env
-        assert stats["inter_node_bytes"] == 100 + env
+        assert reg.value("net.intra.bytes") == 100 + env
+        assert reg.value("net.inter.bytes") == 100 + env
         # Same payload, cheaper tier: the intra-node peer finishes first.
         assert times[1] < times[2]
 
@@ -232,9 +228,9 @@ class TestExchangeContract:
         layered = sim.run(main)
         for a, b in zip(layered, flat):
             assert np.array_equal(a, b)
-        stats = sim.shared[TOPOLOGY_KEY]
-        assert stats.flat_fallbacks == 4  # every rank's call fell back
-        assert stats.two_layer_rounds == 0
+        reg = metrics_registry(sim.shared)
+        assert reg.value("exchange.flat_fallbacks") == 4  # every rank's call fell back
+        assert reg.value("exchange.two_layer.rounds") == 0
 
 
 # ---- composition with the fault / liveness / integrity layers ----------
@@ -271,7 +267,7 @@ class TestFaultComposition:
     @pytest.fixture(scope="class")
     def baseline(self):
         contents, _, sim = _run_workload()
-        assert topology_stats(sim.shared).two_layer_rounds > 0
+        assert metrics_registry(sim.shared).value("exchange.two_layer.rounds") > 0
         return contents
 
     def test_stalled_aggregator_fails_over_to_flat_rounds(self, baseline):
@@ -281,10 +277,10 @@ class TestFaultComposition:
         hints = WORK_HINTS.replace(coll_deadline=0.5, liveness=True)
         contents, injector, sim = _run_workload(plan, hints=hints)
         assert np.array_equal(contents, baseline)
-        assert injector.stats.suspects_declared == 1
-        stats = topology_stats(sim.shared)
-        assert stats.flat_fallbacks > 0
-        assert stats.two_layer_rounds > 0  # pre-suspect rounds were layered
+        assert injector.metrics.value("faults.suspects_declared") == 1
+        reg = metrics_registry(sim.shared)
+        assert reg.value("exchange.flat_fallbacks") > 0
+        assert reg.value("exchange.two_layer.rounds") > 0  # pre-suspect rounds were layered
 
     def test_network_bitflips_detected_and_retried(self, baseline):
         # The leader↔leader frames are raw data frames on the wire, so
@@ -296,10 +292,12 @@ class TestFaultComposition:
         hints = WORK_HINTS.replace(integrity_network=True)
         contents, injector, _ = _run_workload(plan, hints=hints)
         assert np.array_equal(contents, baseline)
-        stats = injector.stats
-        assert stats.net_bits_flipped > 0
-        assert stats.net_corruptions_detected == stats.net_bits_flipped
-        assert stats.net_redeliveries > 0
+        reg = injector.metrics
+        assert reg.value("faults.net.bits_flipped") > 0
+        assert reg.value("faults.net.corruptions_detected") == reg.value(
+            "faults.net.bits_flipped"
+        )
+        assert reg.value("faults.net.redeliveries") > 0
 
 
 class TestInterNodeReduction:
@@ -321,10 +319,12 @@ class TestInterNodeReduction:
         for mode in ("alltoallw", "two_layer"):
             hints = Hints(cb_buffer_size=96, cb_nodes=2, exchange=mode)
             contents, _, sim = _run_workload(hints=hints, cost=cost)
-            results[mode] = (contents, topology_stats(sim.shared).snapshot())
+            results[mode] = (contents, metrics_registry(sim.shared))
         flat_bytes, layered_bytes = results["alltoallw"][0], results["two_layer"][0]
         assert np.array_equal(flat_bytes, layered_bytes)
         flat, layered = results["alltoallw"][1], results["two_layer"][1]
-        assert layered["inter_node_msgs"] < flat["inter_node_msgs"]
-        assert layered["inter_node_bytes"] < flat["inter_node_bytes"]
-        assert layered["coalesce_runs_out"] <= layered["coalesce_runs_in"]
+        assert layered.value("net.inter.msgs") < flat.value("net.inter.msgs")
+        assert layered.value("net.inter.bytes") < flat.value("net.inter.bytes")
+        assert layered.value("exchange.coalesce.runs_out") <= layered.value(
+            "exchange.coalesce.runs_in"
+        )

@@ -1,5 +1,5 @@
 """Tests for FileView validation, aggregator layout, CostModel, and
-CollStats bookkeeping."""
+per-rank collective metrics bookkeeping."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import CostModel, DEFAULT_COST_MODEL
 from repro.core.aggregation import select_aggregators
-from repro.core.env import CollStats
 from repro.core.file_view import FileView
 from repro.datatypes import BYTE, INT, contiguous, hindexed, resized, vector
 from repro.errors import CollectiveIOError
@@ -129,18 +128,37 @@ class TestCostModel:
             DEFAULT_COST_MODEL.num_osts = 2  # type: ignore[misc]
 
 
-class TestCollStats:
+def _two_round_write(calls):
+    """Session over 4 ranks, aggregators 0 and 2, two rounds per call;
+    returns (session, per-call snapshots of rank 0's metrics view)."""
+    from repro import Session
+
+    s = Session("/d", nprocs=4, hints={"cb_nodes": 2, "cb_buffer_size": 256})
+    snaps = []
+
+    def body(ctx, comm, f):
+        tile = resized(contiguous(64, BYTE), 0, 64 * comm.size)
+        f.set_view(disp=comm.rank * 64, filetype=tile)
+        for _ in range(calls):
+            f.seek(0)
+            f.write_all(np.full(64 * 4, comm.rank + 1, dtype=np.uint8))
+            if comm.rank == 0:
+                snaps.append(f.metrics.snapshot())
+
+    s.run(body)
+    return s, snaps
+
+
+class TestCollMetrics:
     def test_note_flush_counts(self):
-        s = CollStats()
-        s.note_flush("naive")
-        s.note_flush("naive")
-        s.note_flush("contig")
-        assert s.flush_methods == {"naive": 2, "contig": 1}
+        s, _ = _two_round_write(1)
+        flushes = [n for n in s.registry.names() if n.startswith("coll.flush.")]
+        assert flushes == ["coll.flush.contig"]
+        # One flush per round on each aggregator; clients never flush.
+        assert [s.registry.value("coll.flush.contig", r) for r in range(4)] == [2, 0, 2, 0]
 
     def test_snapshot_is_detached(self):
-        s = CollStats()
-        s.note_flush("naive")
-        snap = s.snapshot()
-        s.note_flush("naive")
-        assert snap["flush_methods"] == {"naive": 1}
-        assert s.flush_methods["naive"] == 2
+        s, (first, second) = _two_round_write(2)
+        assert first["coll.flush.contig"] == 2
+        assert second["coll.flush.contig"] == 4
+        assert s.registry.value("coll.flush.contig", 0) == 4
